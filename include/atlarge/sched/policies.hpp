@@ -56,7 +56,9 @@ class WideFirstPolicy final : public Policy {
 };
 
 /// Uniformly random order; Altshuller's "performance vs random design"
-/// baseline (paper, challenge C2).
+/// baseline (paper, challenge C2). Each order() call draws a fresh
+/// shuffle of the queue in arrival order (TaskRef::seq), so the result
+/// does not depend on the order the previous pass left.
 class RandomPolicy final : public Policy {
  public:
   explicit RandomPolicy(std::uint64_t seed = 42) : rng_(seed), seed_(seed) {}

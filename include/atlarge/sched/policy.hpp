@@ -5,6 +5,8 @@
 // tasks (arrived, all dependencies finished). A policy's single job is to
 // order that queue; the simulator then places tasks greedily in queue
 // order, optionally with EASY-style backfilling when the policy opts in.
+// The queue persists across scheduling passes (see Policy::order), so a
+// policy that sorts can reuse the order it left behind.
 // This separation lets the portfolio scheduler (portfolio.hpp) treat every
 // policy — including nested copies of itself — uniformly, which is exactly
 // the property Section 6.6 of the paper needs: "simulate all the
@@ -17,7 +19,8 @@
 
 namespace atlarge::sched {
 
-/// A queued, eligible task as seen by a policy.
+/// A queued, eligible task as seen by a policy. (job_id, task_id) is
+/// unique within a simulator queue.
 struct TaskRef {
   std::uint64_t job_id = 0;
   std::uint32_t task_id = 0;
@@ -25,8 +28,19 @@ struct TaskRef {
   std::uint32_t cores = 1;
   double submit_time = 0.0;   // job submit time
   double eligible_time = 0.0; // when dependencies completed
+  /// Arrival stamp: the simulator numbers tasks in the order they become
+  /// eligible (job arrival, dependency unlock, crash requeue), so sorting
+  /// by `seq` recovers arrival order however the queue was permuted.
+  /// Consumers that need arrival order treat equal stamps (as in
+  /// hand-built queues, where every stamp is 0) as "keep input order".
+  std::uint64_t seq = 0;
   std::string user;
 };
+
+/// Positions of `queue`'s tasks in arrival order: by TaskRef::seq, equal
+/// stamps in input order. For consumers that must not depend on the order
+/// the last pass left the queue in.
+std::vector<std::size_t> arrival_order(const std::vector<TaskRef>& queue);
 
 /// Cluster state snapshot offered to policies at decision time.
 struct SchedState {
@@ -48,8 +62,13 @@ class Policy {
 
   virtual std::string name() const = 0;
 
-  /// Orders the eligible queue in-place; the simulator places tasks from
-  /// the front. Must be a permutation (no adds/removes).
+  /// Orders the eligible queue in place; the simulator places tasks from
+  /// the front. Called on every scheduling pass, including passes that
+  /// cannot place anything. The queue is persistent: it arrives in the
+  /// order the previous call left it (in a portfolio, possibly another
+  /// policy's order), minus the tasks placed since, plus newly eligible
+  /// tasks appended at the back. Must be a permutation (no adds/removes);
+  /// the simulator throws std::logic_error otherwise.
   virtual void order(std::vector<TaskRef>& queue, const SchedState& state) = 0;
 
   /// When true, the simulator applies EASY backfilling: the head task
@@ -57,7 +76,8 @@ class Policy {
   /// queue only if they do not delay that reservation.
   virtual bool backfilling() const { return false; }
 
-  /// Called on every scheduling event before placement. Returns a decision
+  /// Called on every scheduling pass before order(), with the queue in
+  /// the order the last order() call left it. Returns a decision
   /// overhead in seconds; the simulator delays placement by that amount.
   /// Default: zero (instant decisions). The portfolio scheduler uses this
   /// hook to run (and charge for) its nested simulations.

@@ -59,8 +59,9 @@ struct PortfolioConfig {
   /// Threads used to run the candidate what-if simulations of one tick()
   /// concurrently; 0 or 1 evaluates serially. Results are bitwise
   /// identical to the serial order for any thread count: every candidate
-  /// gets a cloned policy, a private snapshot copy, and its own RNG
-  /// stream, and the selection reduction runs serially in candidate order.
+  /// gets a cloned policy and its own RNG stream, all candidates only read
+  /// the round's one snapshot, and the selection reduction runs serially
+  /// in candidate order.
   std::size_t eval_threads = 1;
   /// Optional instrumentation plane (not owned, may be null): emits a
   /// "portfolio.select" span per selection round plus round/what-if
@@ -98,13 +99,14 @@ class PortfolioScheduler final : public Policy {
   /// Indices of policies to simulate this round (full set or active set).
   std::vector<std::size_t> candidate_set() const;
 
-  /// The eligible queue folded back into a bag-of-jobs what-if workload.
+  /// The first snapshot_cap eligible tasks in arrival order
+  /// (TaskRef::seq), folded back into a bag-of-jobs what-if workload.
   workflow::Workload build_snapshot(const std::vector<TaskRef>& queue) const;
 
   /// Mean bounded slowdown of the snapshot under policy `pi`, with the
   /// round's noise applied. Thread-safe for distinct `pi`: works on a
-  /// cloned policy, a private snapshot copy, and a per-(candidate, round)
-  /// RNG stream.
+  /// cloned policy and a per-(candidate, round) RNG stream, and only reads
+  /// the shared snapshot (simulate takes it by const reference).
   double evaluate(std::size_t pi, const workflow::Workload& snapshot,
                   std::uint64_t round) const;
 

@@ -4,14 +4,17 @@
 //
 // Semantics:
 //  * A task needs `cores` on a *single* machine; runtime scales inversely
-//    with machine speed. Tasks whose core demand exceeds every machine are
-//    rejected at ingest (std::invalid_argument).
+//    with machine speed. Every job is validated at ingest (Job::validate),
+//    job ids must be unique, and tasks whose core demand exceeds every
+//    machine are rejected; all three throw std::invalid_argument.
 //  * On every scheduling event the policy orders the eligible queue; the
 //    simulator then places tasks greedily in that order, skipping tasks
-//    that do not currently fit ("first fit in policy order"). Policies
-//    with backfilling() == true instead protect the queue head with an
-//    EASY-style reservation: a later task may overtake only if it finishes
-//    before the head's earliest feasible start.
+//    that do not currently fit ("first fit in policy order"). The queue
+//    persists between passes in the policy's last order (DESIGN.md §5,
+//    "Scheduling pass"). Policies with backfilling() == true instead
+//    protect the queue head with an EASY-style reservation: a later task
+//    may overtake only if it finishes before the head's earliest feasible
+//    start.
 //  * Geo-distributed environments charge env.inter_cluster_latency once
 //    per task dispatched outside cluster 0.
 //  * Policy::tick may return a decision overhead; the simulator freezes

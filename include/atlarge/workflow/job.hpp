@@ -27,7 +27,8 @@ struct Task {
 ///
 /// Invariants (enforced by Job::validate, called by the generators and by
 /// the simulators on ingest): every dependency index is in range, the
-/// dependency graph is acyclic, runtimes are positive, cores >= 1.
+/// dependency graph is acyclic, runtimes are positive and finite, the
+/// submit time is finite, cores >= 1.
 struct Job {
   std::uint64_t id = 0;
   double submit_time = 0.0;

@@ -72,16 +72,22 @@ workflow::Workload PortfolioScheduler::build_snapshot(
   // information. Grouping preserves job-level slowdown semantics — the
   // metric the real run is judged by — so task-level-greedy policies are
   // not systematically overrated.)
+  //
+  // The queue arrives in the applied policy's order; the snapshot takes
+  // the first snapshot_cap tasks in arrival order, so what the candidates
+  // are judged on does not depend on which policy ran last.
   workflow::Workload snapshot;
   snapshot.name = "snapshot";
+  const auto arrival = arrival_order(queue);
   const std::size_t n = std::min(queue.size(), config_.snapshot_cap);
   std::map<std::uint64_t, workflow::Job> grouped;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& job = grouped[queue[i].job_id];
-    job.user = queue[i].user;
+  for (std::size_t k = 0; k < n; ++k) {
+    const TaskRef& ref = queue[arrival[k]];
+    auto& job = grouped[ref.job_id];
+    job.user = ref.user;
     workflow::Task t;
-    t.runtime = queue[i].runtime;
-    t.cores = queue[i].cores;
+    t.runtime = ref.runtime;
+    t.cores = ref.cores;
     job.tasks.push_back(std::move(t));
   }
   snapshot.jobs.reserve(grouped.size());
@@ -98,8 +104,7 @@ double PortfolioScheduler::evaluate(std::size_t pi,
                                     const workflow::Workload& snapshot,
                                     std::uint64_t round) const {
   auto probe = policies_[pi]->clone();
-  const workflow::Workload local = snapshot;  // private copy per candidate
-  const SchedResult r = simulate(env_, local, *probe);
+  const SchedResult r = simulate(env_, snapshot, *probe);
   double utility = r.mean_slowdown;
   if (config_.utility_noise > 0.0) {
     stats::Rng noise(mix_stream(mix_stream(config_.seed, pi), round));
@@ -129,7 +134,7 @@ double PortfolioScheduler::tick(const SchedState& state,
   const std::uint64_t round = round_++;
 
   // Phase 1 — measure: run every candidate's what-if simulation, each on a
-  // cloned policy, a private snapshot copy, and its own RNG stream.
+  // cloned policy and its own RNG stream, all reading the one snapshot.
   // Utilities land in per-candidate slots, so thread scheduling cannot
   // affect the result.
   std::vector<double> utilities(candidates.size(), 0.0);

@@ -5,6 +5,8 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
 
 #include "atlarge/fault/injector.hpp"
 #include "atlarge/obs/observability.hpp"
@@ -110,7 +112,12 @@ class SchedEngine {
     }
 
     jobs_.reserve(workload.jobs.size());
+    job_index_.reserve(workload.jobs.size());
     for (const auto& job : workload.jobs) {
+      job.validate();
+      if (!job_index_.emplace(job.id, jobs_.size()).second)
+        throw std::invalid_argument("simulate: duplicate job id " +
+                                    std::to_string(job.id));
       for (const auto& t : job.tasks) {
         if (t.cores > max_cores)
           throw std::invalid_argument(
@@ -185,7 +192,7 @@ class SchedEngine {
     auto& m = machines_[mi];
     m.free = std::min(m.total, m.free + cores);
     observe_busy();
-    if (!eligible_.empty()) request_pass();
+    if (!queue_.empty()) request_pass();
   }
 
   void fail_machine(std::size_t mi, double duration) {
@@ -241,14 +248,12 @@ class SchedEngine {
       }
       it->completion.cancel();
       result_.machine_busy_seconds[mi] -= it->finish - sim_.now();
-      auto& js = jobs_[it->ji];
-      js.tasks[it->ti].status = TaskStatus::kEligible;
-      js.tasks[it->ti].eligible_time = sim_.now();
-      eligible_.emplace_back(it->ji, it->ti);
+      enqueue(it->ji, it->ti);
       ++result_.tasks_requeued;
       if (flight_ != nullptr)
         flight_->record(flight_entity_[mi], sim_.now(), "requeue",
-                        static_cast<double>(js.job->id), crash_seq);
+                        static_cast<double>(jobs_[it->ji].job->id),
+                        crash_seq);
       m.free += it->cores;
       it = running_.erase(it);
     }
@@ -272,13 +277,8 @@ class SchedEngine {
   void arrive(std::size_t ji) {
     auto& js = jobs_[ji];
     js.arrived = true;
-    for (std::size_t ti = 0; ti < js.tasks.size(); ++ti) {
-      if (js.tasks[ti].remaining_deps == 0) {
-        js.tasks[ti].status = TaskStatus::kEligible;
-        js.tasks[ti].eligible_time = sim_.now();
-        eligible_.emplace_back(ji, ti);
-      }
-    }
+    for (std::size_t ti = 0; ti < js.tasks.size(); ++ti)
+      if (js.tasks[ti].remaining_deps == 0) enqueue(ji, ti);
     request_pass();
   }
 
@@ -311,8 +311,13 @@ class SchedEngine {
     return s;
   }
 
-  TaskRef make_ref(std::size_t ji, std::size_t ti) const {
-    const auto& js = jobs_[ji];
+  /// Makes a task eligible now and appends it to the queue, stamped with
+  /// the next arrival number. Each eligibility (arrival, dependency
+  /// unlock, crash requeue) enqueues the task exactly once.
+  void enqueue(std::size_t ji, std::size_t ti) {
+    auto& js = jobs_[ji];
+    js.tasks[ti].status = TaskStatus::kEligible;
+    js.tasks[ti].eligible_time = sim_.now();
     const auto& task = js.job->tasks[ti];
     TaskRef ref;
     ref.job_id = js.job->id;
@@ -320,9 +325,10 @@ class SchedEngine {
     ref.runtime = task.runtime;
     ref.cores = task.cores;
     ref.submit_time = js.job->submit_time;
-    ref.eligible_time = js.tasks[ti].eligible_time;
+    ref.eligible_time = sim_.now();
+    ref.seq = next_seq_++;
     ref.user = js.job->user;
-    return ref;
+    queue_.push_back(std::move(ref));
   }
 
   /// Earliest time a machine can host `cores` given current running tasks.
@@ -353,6 +359,15 @@ class SchedEngine {
     return shadow;
   }
 
+  /// Most free cores on any up machine: find_fit(cores) finds a machine
+  /// exactly when cores <= widest_free().
+  std::uint32_t widest_free() const {
+    std::uint32_t widest = 0;
+    for (const auto& m : machines_)
+      if (!m.down) widest = std::max(widest, m.free);
+    return widest;
+  }
+
   /// First machine that fits, preferring faster machines then lower ids.
   std::size_t find_fit(std::uint32_t cores) const {
     std::size_t best = machines_.size();
@@ -367,9 +382,13 @@ class SchedEngine {
     return best;
   }
 
+  /// One scheduling pass over the persistent queue. tick() and order()
+  /// run on every pass, even when nothing can be placed: a randomized
+  /// policy draws on each order() call and the portfolio selects inside
+  /// tick(), so skipping either would change outputs.
   void pass() {
     pass_pending_ = false;
-    if (eligible_.empty()) return;
+    if (queue_.empty()) return;
     if (sim_.now() < blocked_until_) {
       sim_.schedule_at(blocked_until_, [this] { request_pass(); });
       return;
@@ -377,15 +396,13 @@ class SchedEngine {
 
     if (obs_ != nullptr) {
       passes_->add(1);
-      queue_depth_->set(static_cast<double>(eligible_.size()));
+      queue_depth_->set(static_cast<double>(queue_.size()));
       obs_->tracer.begin("sched.pass", "sched", sim_.now());
     }
-    std::vector<TaskRef> queue;
-    queue.reserve(eligible_.size());
-    for (const auto& [ji, ti] : eligible_) queue.push_back(make_ref(ji, ti));
-    const SchedState state = make_state(queue.size());
+    const std::size_t queued = queue_.size();
+    const SchedState state = make_state(queued);
 
-    const double overhead = policy_.tick(state, queue);
+    const double overhead = policy_.tick(state, queue_);
     if (overhead > 0.0) {
       blocked_until_ = sim_.now() + overhead;
       result_.decision_overhead += overhead;
@@ -394,42 +411,70 @@ class SchedEngine {
       return;
     }
 
-    policy_.order(queue, state);
+    policy_.order(queue_, state);
+    if (queue_.size() != queued)
+      throw std::logic_error(
+          "simulate: Policy::order added or removed queued tasks");
 
+    // Greedy placement in policy order. A task wider than every up
+    // machine's free cores cannot fit, so the scan skips it without a
+    // machine search and stops once no up machine has a free core (every
+    // task needs at least one, Job::validate).
     bool constrain = false;
     double shadow = std::numeric_limits<double>::infinity();
-    for (const auto& ref : queue) {
-      const std::size_t mi = find_fit(ref.cores);
-      if (mi == machines_.size()) {
+    std::uint32_t widest = widest_free();
+    placed_at_.clear();
+    for (std::size_t i = 0; i < queue_.size() && widest > 0; ++i) {
+      const TaskRef& ref = queue_[i];
+      if (ref.cores > widest) {
         if (policy_.backfilling() && !constrain) {
           constrain = true;
           shadow = compute_shadow(ref.cores);
         }
         continue;
       }
+      const std::size_t mi = find_fit(ref.cores);
       const double latency =
           machines_[mi].cluster == 0 ? 0.0 : env_.inter_cluster_latency;
       const double elapsed = latency + ref.runtime / machines_[mi].speed;
       if (constrain && sim_.now() + elapsed > shadow) continue;
       place(ref, mi, elapsed);
+      placed_at_.push_back(i);
+      widest = widest_free();
     }
+    drop_placed();
     if (obs_ != nullptr) {
-      queue_depth_->set(static_cast<double>(eligible_.size()));
+      queue_depth_->set(static_cast<double>(queue_.size()));
       obs_->tracer.end("sched.pass", "sched", sim_.now());
     }
   }
 
+  /// Removes this pass's placed tasks (ascending positions in placed_at_)
+  /// in one stable sweep, so the rest keep the policy's order.
+  void drop_placed() {
+    if (placed_at_.empty()) return;
+    std::size_t out = placed_at_.front();
+    std::size_t next = 0;
+    for (std::size_t in = out; in < queue_.size(); ++in) {
+      if (next < placed_at_.size() && placed_at_[next] == in) {
+        ++next;
+        continue;
+      }
+      queue_[out++] = std::move(queue_[in]);
+    }
+    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(out),
+                 queue_.end());
+  }
+
   void place(const TaskRef& ref, std::size_t mi, double elapsed) {
-    // Locate the eligible entry (job_id is the index after normalize()).
-    const auto it = std::find_if(
-        eligible_.begin(), eligible_.end(), [&](const auto& e) {
-          return jobs_[e.first].job->id == ref.job_id &&
-                 e.second == ref.task_id;
-        });
-    if (it == eligible_.end()) return;  // policy returned a stale ref
-    const std::size_t ji = it->first;
-    const std::size_t ti = it->second;
-    eligible_.erase(it);
+    const auto job = job_index_.find(ref.job_id);
+    if (job == job_index_.end() ||
+        ref.task_id >= jobs_[job->second].tasks.size() ||
+        jobs_[job->second].tasks[ref.task_id].status !=
+            TaskStatus::kEligible)
+      throw std::logic_error("simulate: Policy::order altered a queued task");
+    const std::size_t ji = job->second;
+    const std::size_t ti = ref.task_id;
 
     auto& js = jobs_[ji];
     js.tasks[ti].status = TaskStatus::kRunning;
@@ -489,11 +534,8 @@ class SchedEngine {
       if (std::find(deps.begin(), deps.end(),
                     static_cast<workflow::TaskId>(ti)) == deps.end())
         continue;
-      if (--js.tasks[other].remaining_deps == 0 && js.arrived) {
-        js.tasks[other].status = TaskStatus::kEligible;
-        js.tasks[other].eligible_time = sim_.now();
-        eligible_.emplace_back(ji, other);
-      }
+      if (--js.tasks[other].remaining_deps == 0 && js.arrived)
+        enqueue(ji, other);
     }
 
     if (--js.remaining == 0) js.finish = sim_.now();
@@ -573,7 +615,12 @@ class SchedEngine {
   bool external_ = false;
   std::vector<MachineState> machines_;
   std::vector<JobState> jobs_;
-  std::vector<std::pair<std::size_t, std::size_t>> eligible_;
+  std::unordered_map<std::uint64_t, std::size_t> job_index_;  // id -> jobs_
+  // The eligible queue, persistent across passes in the order the policy
+  // left it; newly eligible tasks are appended with the next seq stamp.
+  std::vector<TaskRef> queue_;
+  std::uint64_t next_seq_ = 0;
+  std::vector<std::size_t> placed_at_;  // queue positions placed this pass
   std::vector<RunningTask> running_;
   std::vector<std::pair<std::string, double>> user_usage_;
   stats::TimeWeighted busy_;

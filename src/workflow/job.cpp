@@ -1,6 +1,7 @@
 #include "atlarge/workflow/job.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace atlarge::workflow {
@@ -64,9 +65,14 @@ double Job::critical_path() const {
 }
 
 void Job::validate() const {
+  if (!std::isfinite(submit_time))
+    throw std::invalid_argument("Job: submit time must be finite");
   for (const auto& t : tasks) {
-    if (t.runtime <= 0.0)
-      throw std::invalid_argument("Job: task runtime must be positive");
+    // A NaN runtime would break the strict weak ordering every
+    // scheduling-policy comparator relies on.
+    if (!std::isfinite(t.runtime) || t.runtime <= 0.0)
+      throw std::invalid_argument(
+          "Job: task runtime must be positive and finite");
     if (t.cores == 0)
       throw std::invalid_argument("Job: task must require >= 1 core");
   }

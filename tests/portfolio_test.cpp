@@ -1,5 +1,7 @@
 // Tests for the portfolio scheduler (paper Section 6.6).
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "atlarge/cluster/machine.hpp"
@@ -224,6 +226,39 @@ TEST(Portfolio, ParallelTickPicksSamePolicyAsSerial) {
     }
   }
   EXPECT_FALSE(serial_pick.empty());
+}
+
+TEST(Portfolio, TickDependsOnArrivalOrderNotQueueOrder) {
+  // The queue reaches tick() in whatever order the applied policy left
+  // it; the snapshot must take the first snapshot_cap tasks by arrival
+  // (TaskRef::seq), so a permuted queue with the same stamps selects
+  // exactly as the arrival-ordered one does.
+  const auto env = cluster::make_homogeneous_cluster("c", 2, 4);
+  auto queue = synthetic_queue(96);
+  for (std::size_t i = 0; i < queue.size(); ++i) queue[i].seq = i;
+  auto permuted = queue;
+  std::reverse(permuted.begin(), permuted.end());
+  std::rotate(permuted.begin(), permuted.begin() + 29, permuted.end());
+
+  sched::PortfolioConfig config;
+  config.snapshot_cap = 40;  // under the queue length: which 40 matters
+  config.cost_per_task_policy = 0.01;
+  config.min_queue_to_select = 1;
+  config.selection_interval = 1.0;
+  auto a = make_portfolio(env, config);
+  auto b = make_portfolio(env, config);
+  for (int round = 0; round < 4; ++round) {
+    sched::SchedState state;
+    state.now = 100.0 * round;
+    a.tick(state, queue);
+    b.tick(state, permuted);
+    EXPECT_EQ(a.current_policy(), b.current_policy()) << "round " << round;
+    EXPECT_EQ(a.total_overhead(), b.total_overhead()) << "round " << round;
+    // Rotate the queues to a fresh (still stamp-consistent) order.
+    std::rotate(queue.begin(), queue.begin() + 11, queue.end());
+    std::rotate(permuted.begin(), permuted.begin() + 5, permuted.end());
+  }
+  EXPECT_EQ(a.selections(), b.selections());
 }
 
 // Portfolio usefulness property across environments (the Table 9 claim):

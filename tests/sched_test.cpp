@@ -1,7 +1,10 @@
 // Tests for the cluster scheduling simulator and the policy zoo.
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <random>
+#include <stdexcept>
 #include <string_view>
 
 #include <gtest/gtest.h>
@@ -105,6 +108,54 @@ TEST(Simulator, RejectsImpossibleTask) {
   wl.jobs.push_back(job);
   sched::FcfsPolicy policy;
   EXPECT_THROW(sched::simulate(env, wl, policy), std::invalid_argument);
+}
+
+TEST(Simulator, RejectsNanRuntime) {
+  const auto env = cluster::make_homogeneous_cluster("c", 2, 4);
+  auto wl = single_task_jobs({1.0, 2.0});
+  wl.jobs[1].tasks[0].runtime = std::numeric_limits<double>::quiet_NaN();
+  sched::SjfPolicy policy;
+  EXPECT_THROW(sched::simulate(env, wl, policy), std::invalid_argument);
+}
+
+TEST(Simulator, RejectsZeroCoreTask) {
+  const auto env = cluster::make_homogeneous_cluster("c", 2, 4);
+  auto wl = single_task_jobs({1.0, 2.0});
+  wl.jobs[0].tasks[0].cores = 0;
+  sched::FcfsPolicy policy;
+  EXPECT_THROW(sched::simulate(env, wl, policy), std::invalid_argument);
+}
+
+TEST(Simulator, RejectsDuplicateJobIds) {
+  const auto env = cluster::make_homogeneous_cluster("c", 2, 4);
+  auto wl = single_task_jobs({1.0, 2.0, 3.0});
+  wl.jobs[2].id = wl.jobs[0].id;
+  sched::FcfsPolicy policy;
+  EXPECT_THROW(sched::simulate(env, wl, policy), std::invalid_argument);
+}
+
+namespace {
+
+/// Breaks the Policy::order contract by dropping the queue's last task.
+class DroppingPolicy final : public sched::Policy {
+ public:
+  std::string name() const override { return "DROP"; }
+  void order(std::vector<sched::TaskRef>& q,
+             const sched::SchedState&) override {
+    q.pop_back();
+  }
+  std::unique_ptr<sched::Policy> clone() const override {
+    return std::make_unique<DroppingPolicy>();
+  }
+};
+
+}  // namespace
+
+TEST(Simulator, RejectsPolicyThatDropsQueuedTasks) {
+  const auto env = cluster::make_homogeneous_cluster("c", 1, 1);
+  auto wl = single_task_jobs({1.0, 2.0});
+  DroppingPolicy policy;
+  EXPECT_THROW(sched::simulate(env, wl, policy), std::logic_error);
 }
 
 TEST(Simulator, RejectsEmptyEnvironment) {
@@ -305,6 +356,99 @@ TEST(Policies, RandomIsSeedDeterministic) {
   b.order(q2, state);
   for (std::size_t i = 0; i < 20; ++i)
     EXPECT_EQ(q1[i].job_id, q2[i].job_id);
+
+  // The shuffle permutes arrival order (seq), not the order the queue
+  // comes in: two permutations carrying the same stamps shuffle alike.
+  for (std::uint32_t i = 0; i < 20; ++i) queue[i].seq = 100 + i;
+  auto p1 = queue;
+  auto p2 = queue;
+  std::reverse(p2.begin(), p2.end());
+  std::rotate(p2.begin(), p2.begin() + 7, p2.end());
+  sched::RandomPolicy c(9);
+  sched::RandomPolicy d(9);
+  c.order(p1, state);
+  d.order(p2, state);
+  for (std::size_t i = 0; i < 20; ++i) {
+    EXPECT_EQ(p1[i].job_id, p2[i].job_id);
+    EXPECT_EQ(p1[i].seq, p2[i].seq);
+  }
+}
+
+TEST(Policies, ArrivalOrderSortsBySeqAndKeepsTiesInInputOrder) {
+  // Spans of one byte, several bytes and the full 64 bits, with repeats.
+  std::mt19937_64 gen(7);
+  for (const std::uint64_t span : {std::uint64_t{3}, std::uint64_t{200},
+                                   std::uint64_t{1} << 20,
+                                   ~std::uint64_t{0}}) {
+    std::vector<sched::TaskRef> queue(300);
+    for (auto& ref : queue) {
+      ref.seq = span == ~std::uint64_t{0} ? gen() : 1000 + gen() % (span + 1);
+    }
+    queue[7].seq = queue[250].seq;  // a tie across the queue
+    std::vector<std::size_t> expected(queue.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = i;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return queue[a].seq < queue[b].seq;
+                     });
+    EXPECT_EQ(sched::arrival_order(queue), expected) << "span " << span;
+  }
+  EXPECT_TRUE(sched::arrival_order({}).empty());
+}
+
+// Every total-order zoo policy sorts to one permutation whatever order its
+// queue arrives in; the simulator relies on this when it hands a policy
+// the order the previous pass (or another portfolio member) left behind.
+TEST(Policies, TotalOrderPoliciesIgnoreInputOrder) {
+  std::mt19937_64 gen(2024);
+  std::vector<sched::TaskRef> queue;
+  for (std::uint64_t job = 0; job < 24; ++job) {
+    const std::uint32_t tasks = 1 + static_cast<std::uint32_t>(gen() % 4);
+    for (std::uint32_t t = 0; t < tasks; ++t) {
+      sched::TaskRef ref;
+      ref.job_id = job * 7 % 24;  // ids unrelated to arrival order
+      ref.task_id = t;
+      ref.runtime = static_cast<double>(1 + gen() % 5);  // many ties
+      ref.cores = 1 + static_cast<std::uint32_t>(gen() % 3);
+      ref.submit_time = static_cast<double>(gen() % 4);
+      ref.eligible_time = ref.submit_time + static_cast<double>(gen() % 3);
+      ref.seq = queue.size();
+      ref.user = std::string(1, static_cast<char>('a' + gen() % 3));
+      queue.push_back(std::move(ref));
+    }
+  }
+  const std::vector<std::pair<std::string, double>> usage = {{"a", 50.0},
+                                                             {"b", 5.0}};
+  sched::SchedState state;
+  state.user_usage = &usage;
+
+  const auto ids = [](const std::vector<sched::TaskRef>& q) {
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
+    for (const auto& r : q) out.emplace_back(r.job_id, r.task_id);
+    return out;
+  };
+  for (const auto& p : sched::standard_policies()) {
+    if (p->name() == "RANDOM") continue;
+    auto reference = queue;
+    p->order(reference, state);
+    // Shuffled inputs, plus the incremental case: the sorted output with
+    // a few tasks moved to the back, as if they had just become eligible.
+    std::vector<std::vector<sched::TaskRef>> inputs;
+    for (int k = 0; k < 4; ++k) {
+      inputs.push_back(queue);
+      std::shuffle(inputs.back().begin(), inputs.back().end(), gen);
+    }
+    inputs.push_back(reference);
+    auto& appended = inputs.back();
+    for (std::size_t i : {std::size_t{3}, std::size_t{10}, std::size_t{0}})
+      std::rotate(appended.begin() + static_cast<std::ptrdiff_t>(i),
+                  appended.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                  appended.end());
+    for (auto& input : inputs) {
+      p->order(input, state);
+      EXPECT_EQ(ids(input), ids(reference)) << p->name();
+    }
+  }
 }
 
 TEST(Policies, CloneProducesSameBehavior) {

@@ -1,6 +1,7 @@
 // Tests for jobs, DAG invariants, and workload generators.
 
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -81,6 +82,22 @@ TEST(Job, ValidateRejectsNonPositiveRuntime) {
   wf::Job job;
   job.tasks.push_back({0.0, 1, {}});
   EXPECT_THROW(job.validate(), std::invalid_argument);
+  // Non-finite runtimes too: `runtime <= 0` alone lets NaN through.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    job.tasks[0].runtime = bad;
+    EXPECT_THROW(job.validate(), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Job, ValidateRejectsNonFiniteSubmitTime) {
+  wf::Job job;
+  job.tasks.push_back({1.0, 1, {}});
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    job.submit_time = bad;
+    EXPECT_THROW(job.validate(), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Job, ValidateRejectsZeroCores) {
