@@ -55,30 +55,6 @@ void BM_SimulationScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulationScheduleRun)->Arg(1'000)->Arg(10'000)->Arg(100'000);
 
-// Head-to-head backend comparison: the same schedule-and-fire loop on the
-// calendar queue. The heap stays the default; this keeps both backends'
-// trajectories visible in one JSON snapshot (the calendar wins when the
-// schedule is dense and uniform, the heap when batches are tiny or times
-// cluster into few buckets — see DESIGN.md "Kernel performance").
-void BM_SimulationScheduleRunCalendar(benchmark::State& state) {
-  const auto events = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    sim::Simulation s(sim::QueueKind::kCalendar);
-    std::size_t fired = 0;
-    for (std::size_t i = 0; i < events; ++i) {
-      s.schedule_at(static_cast<double>(i % 1'000), [&fired] { ++fired; });
-    }
-    s.run();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events) *
-                          state.iterations());
-}
-BENCHMARK(BM_SimulationScheduleRunCalendar)
-    ->Arg(1'000)
-    ->Arg(10'000)
-    ->Arg(100'000);
-
 // The pre-sized fast path domain engines use: reserve() up front, then
 // schedule-and-fire with zero system-allocator traffic.
 void BM_SimulationScheduleRunReserved(benchmark::State& state) {

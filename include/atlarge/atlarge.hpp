@@ -80,8 +80,6 @@
 #include "atlarge/sched/simulator.hpp"
 #include "atlarge/serverless/platform.hpp"
 #include "atlarge/serverless/workflow_engine.hpp"
-#include "atlarge/sim/resource.hpp"
-#include "atlarge/sim/sampler.hpp"
 #include "atlarge/sim/sharded.hpp"
 #include "atlarge/sim/simulation.hpp"
 #include "atlarge/stats/bootstrap.hpp"

@@ -1,10 +1,10 @@
 #pragma once
-// Continuous sim-time series: the paper's "monitoring agent" graduated
-// from one-off probes (sim::Sampler) to a plane-level recorder. A
-// TimeSeries tracks registered Registry instruments (counters and gauges)
-// and appends one row per kernel sampling boundary — attach it through
-// Observability::sampling_hook() / Simulation::set_sampling_hook, or call
-// sample() directly from non-DES loops (the p2p fluid model's epochs).
+// Continuous sim-time series: the paper's "monitoring agent" as a
+// plane-level recorder. A TimeSeries tracks registered Registry
+// instruments (counters and gauges) and appends one row per kernel
+// sampling boundary — attach it through Observability::sampling_hook() /
+// Simulation::set_sampling_hook, or call sample() directly from non-DES
+// loops (the p2p fluid model's epochs).
 //
 // Storage is a fixed-capacity ring of rows: the first sample allocates the
 // backing buffer once (column count is frozen there), and every later

@@ -16,8 +16,9 @@
 //           | u32 crc32          -- IEEE CRC-32 over row count + colblocks
 //
 // Column encodings:
-//   0  int:  zigzag(delta) varints — the first value is a delta from 0, so
-//            sorted id/timestamp columns shrink to ~1-2 bytes per row;
+//   0  int:  zigzag(delta) varints, deltas taken modulo 2^64 — the first
+//            value is a delta from 0, so sorted id/timestamp columns
+//            shrink to ~1-2 bytes per row;
 //   1  real: raw IEEE-754 binary64, little-endian (exact round-trip);
 //   2  text: varint byte length + UTF-8 bytes per cell.
 //

@@ -316,7 +316,6 @@ struct EcoEngine {
     options.shards = shards;
     options.threads = std::max<std::size_t>(1, spec.threads);
     options.lookahead = lookahead;
-    options.queue = spec.queue;
     sharded = std::make_unique<sim::ShardedSimulation>(options);
   }
 

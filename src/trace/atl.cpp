@@ -233,10 +233,15 @@ void TraceWriter::flush_chunk() {
     payload.clear();
     switch (schema_[c].type) {
       case FieldType::kInt: {
-        std::int64_t prev = 0;
+        // Deltas wrap modulo 2^64: unsigned arithmetic keeps extreme
+        // neighbours (INT64_MAX after a negative) well defined, and the
+        // bytes equal the two's-complement signed difference.
+        std::uint64_t prev = 0;
         for (std::int64_t v : int_cols_[c]) {
-          put_varint(payload, zigzag_encode(v - prev));
-          prev = v;
+          const auto bits = static_cast<std::uint64_t>(v);
+          put_varint(payload,
+                     zigzag_encode(static_cast<std::int64_t>(bits - prev)));
+          prev = bits;
         }
         int_cols_[c].clear();
         break;
@@ -431,10 +436,11 @@ bool TraceReader::next_chunk() {
         col.clear();
         col.reserve(rows);
         std::size_t pos = 0;
-        std::int64_t prev = 0;
+        std::uint64_t prev = 0;  // wrapping sum, mirroring the writer
         for (std::uint32_t r = 0; r < rows; ++r) {
-          prev += zigzag_decode(get_varint(data, size, pos));
-          col.push_back(prev);
+          prev += static_cast<std::uint64_t>(
+              zigzag_decode(get_varint(data, size, pos)));
+          col.push_back(static_cast<std::int64_t>(prev));
         }
         if (pos != size)
           throw std::runtime_error("TraceReader: trailing bytes in int column");

@@ -272,59 +272,6 @@ TEST(ChaosCrossDomain, MixedKindPlanIsSafeEverywhere) {
   EXPECT_NO_THROW(serverless_scenario(retry)(&plan));
 }
 
-// ------------------------------------------------------- calendar queue --
-
-// The whole chaos contract must hold regardless of which queue backend the
-// kernel runs on, and the backends themselves must agree: a domain run
-// under the calendar queue produces the byte-identical fingerprint of the
-// same run under the heap, faulted or not.
-struct QueueKindGuard {
-  sim::QueueKind saved = sim::default_queue_kind();
-  explicit QueueKindGuard(sim::QueueKind kind) {
-    sim::set_default_queue_kind(kind);
-  }
-  ~QueueKindGuard() { sim::set_default_queue_kind(saved); }
-};
-
-TEST(ChaosCalendarQueue, SchedMatchesHeapAndHonoursContracts) {
-  const auto scenario = sched_scenario();
-  const FaultPlan plan = sched_plan();
-  const std::string heap_clean = scenario(nullptr);
-  const std::string heap_faulted = scenario(&plan);
-  QueueKindGuard guard(sim::QueueKind::kCalendar);
-  chaos::check_scenario(scenario, plan);
-  EXPECT_EQ(heap_clean, scenario(nullptr))
-      << "calendar backend changed a clean sched run";
-  EXPECT_EQ(heap_faulted, scenario(&plan))
-      << "calendar backend changed a faulted sched run";
-}
-
-TEST(ChaosCalendarQueue, ServerlessMatchesHeapAndHonoursContracts) {
-  fault::RetryPolicy retry;
-  retry.max_attempts = 3;
-  retry.timeout = 8.0;
-  const auto scenario = serverless_scenario(retry);
-  const FaultPlan plan = serverless_plan();
-  const std::string heap_clean = scenario(nullptr);
-  const std::string heap_faulted = scenario(&plan);
-  QueueKindGuard guard(sim::QueueKind::kCalendar);
-  chaos::check_scenario(scenario, plan);
-  EXPECT_EQ(heap_clean, scenario(nullptr))
-      << "calendar backend changed a clean serverless run";
-  EXPECT_EQ(heap_faulted, scenario(&plan))
-      << "calendar backend changed a faulted serverless run";
-}
-
-TEST(ChaosCalendarQueue, AutoscaleMatchesHeap) {
-  const auto scenario = autoscale_scenario();
-  const FaultPlan plan = autoscale_plan();
-  const std::string heap_clean = scenario(nullptr);
-  const std::string heap_faulted = scenario(&plan);
-  QueueKindGuard guard(sim::QueueKind::kCalendar);
-  EXPECT_EQ(heap_clean, scenario(nullptr));
-  EXPECT_EQ(heap_faulted, scenario(&plan));
-}
-
 // ---------------------------------------------------------- SLO detection --
 
 // The telemetry plane must *detect* injected chaos, not merely survive it:
@@ -427,20 +374,6 @@ TEST(ChaosSlo, SeededOutageIsDetectedWithinBoundedSimTime) {
       << "alert raised only after the outage had already ended";
   EXPECT_GE(first.burn_fast, 1.5);
   EXPECT_GE(first.burn_slow, 1.2);
-}
-
-TEST(ChaosSlo, AlertStreamIsIdenticalAcrossQueueBackends) {
-  const SloRun probe = slo_run(nullptr, 1e18);
-  const double threshold = probe.max_queue + 1.0;
-  const FaultPlan plan = outage_plan();
-  const SloRun heap = slo_run(&plan, threshold);
-  QueueKindGuard guard(sim::QueueKind::kCalendar);
-  const SloRun calendar = slo_run(&plan, threshold);
-  EXPECT_EQ(heap.slo_json, calendar.slo_json)
-      << "alert times must be sampling boundaries, not backend artifacts";
-  ASSERT_EQ(heap.alerts.size(), calendar.alerts.size());
-  for (std::size_t i = 0; i < heap.alerts.size(); ++i)
-    EXPECT_EQ(exact(heap.alerts[i].time), exact(calendar.alerts[i].time));
 }
 
 // ----------------------------------------------------------- ecosystem ----

@@ -333,24 +333,3 @@ TEST(Integration, FaultInjectionMirrorsIntoObservabilityPlane) {
     EXPECT_EQ(counters.at("faas.failed").value(), result.failed_invocations);
   EXPECT_NE(plane.metrics.json().find("fault.injected"), std::string::npos);
 }
-
-TEST(Integration, SamplerObservesSchedulerLoad) {
-  // The sim kernel's Sampler plays the DevOps monitoring role over a toy
-  // system built directly on the kernel.
-  sim::Simulation s;
-  sim::Resource cores(s, 4);
-  for (int i = 0; i < 12; ++i) {
-    s.schedule_at(static_cast<double>(i), [&cores, &s] {
-      cores.acquire(1, [&cores, &s] {
-        s.schedule_after(3.0, [&cores] { cores.release(1); });
-      });
-    });
-  }
-  sim::Sampler sampler(s, 0.0, 20.0, 1.0,
-                       [&] { return cores.utilization(); });
-  s.run();
-  const auto values = sampler.values();
-  ASSERT_FALSE(values.empty());
-  const double peak = *std::max_element(values.begin(), values.end());
-  EXPECT_GT(peak, 0.5);
-}

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "atlarge/sim/resource.hpp"
-#include "atlarge/sim/sampler.hpp"
 #include "atlarge/sim/simulation.hpp"
 
 namespace sim = atlarge::sim;
@@ -283,107 +281,6 @@ TEST(Simulation, ManyEventsDeterministicCount) {
     s.schedule_at(static_cast<double>(i % 100), [&] { ++fired; });
   EXPECT_EQ(s.run(), 10'000u);
   EXPECT_EQ(fired, 10'000u);
-}
-
-// --------------------------------------------------------------- Resource --
-
-TEST(Resource, GrantsImmediatelyWhenFree) {
-  sim::Simulation s;
-  sim::Resource r(s, 4);
-  bool granted = false;
-  r.acquire(2, [&] { granted = true; });
-  s.run();
-  EXPECT_TRUE(granted);
-  EXPECT_EQ(r.in_use(), 2u);
-  EXPECT_EQ(r.available(), 2u);
-}
-
-TEST(Resource, QueuesWhenFull) {
-  sim::Simulation s;
-  sim::Resource r(s, 2);
-  std::vector<int> order;
-  r.acquire(2, [&] { order.push_back(1); });
-  r.acquire(1, [&] { order.push_back(2); });
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{1}));
-  EXPECT_EQ(r.queue_length(), 1u);
-  r.release(2);
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(Resource, FifoNoOvertaking) {
-  sim::Simulation s;
-  sim::Resource r(s, 3);
-  std::vector<int> order;
-  r.acquire(3, [&] { order.push_back(1); });
-  r.acquire(3, [&] { order.push_back(2); });  // blocks
-  r.acquire(1, [&] { order.push_back(3); });  // would fit, must wait
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{1}));
-  r.release(3);
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  r.release(3);
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(Resource, UtilizationTracksUse) {
-  sim::Simulation s;
-  sim::Resource r(s, 10);
-  EXPECT_DOUBLE_EQ(r.utilization(), 0.0);
-  r.acquire(5, [] {});
-  s.run();
-  EXPECT_DOUBLE_EQ(r.utilization(), 0.5);
-  r.release(5);
-  EXPECT_DOUBLE_EQ(r.utilization(), 0.0);
-}
-
-TEST(Resource, GrantsAreDeferredNotInline) {
-  sim::Simulation s;
-  sim::Resource r(s, 1);
-  bool granted_inline = false;
-  bool flag = false;
-  r.acquire(1, [&] { flag = true; });
-  granted_inline = flag;  // before running the event loop
-  s.run();
-  EXPECT_FALSE(granted_inline);
-  EXPECT_TRUE(flag);
-}
-
-// ---------------------------------------------------------------- Sampler --
-
-TEST(Sampler, SamplesAtPeriod) {
-  sim::Simulation s;
-  double signal = 0.0;
-  sim::Sampler sampler(s, 0.0, 10.0, 2.0, [&] { return signal; });
-  s.schedule_at(5.0, [&] { signal = 7.0; });
-  s.run();
-  const auto& samples = sampler.samples();
-  ASSERT_EQ(samples.size(), 6u);  // t = 0, 2, 4, 6, 8, 10
-  EXPECT_DOUBLE_EQ(samples[0].value, 0.0);
-  EXPECT_DOUBLE_EQ(samples[2].value, 0.0);   // t=4, before change
-  EXPECT_DOUBLE_EQ(samples[3].value, 7.0);   // t=6, after change
-}
-
-TEST(Sampler, ValuesMatchesSamples) {
-  sim::Simulation s;
-  int tick = 0;
-  sim::Sampler sampler(s, 0.0, 4.0, 1.0,
-                       [&] { return static_cast<double>(tick++); });
-  s.run();
-  const auto values = sampler.values();
-  EXPECT_EQ(values, (std::vector<double>{0, 1, 2, 3, 4}));
-}
-
-TEST(Sampler, StartOffsetRespected) {
-  sim::Simulation s;
-  sim::Sampler sampler(s, 5.0, 9.0, 2.0, [] { return 1.0; });
-  s.run();
-  ASSERT_EQ(sampler.samples().size(), 3u);  // 5, 7, 9
-  EXPECT_DOUBLE_EQ(sampler.samples().front().time, 5.0);
-  EXPECT_DOUBLE_EQ(sampler.samples().back().time, 9.0);
 }
 
 // Determinism property: identical runs produce identical event orders.

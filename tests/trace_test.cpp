@@ -297,6 +297,11 @@ TEST(Atl, TableRoundTripsAllTypes) {
   t.append({std::numeric_limits<std::int64_t>::min(), 5e-324,
             std::string("comma,quote\"newline\n")});
   trace::write_atl(t, path);
+  // The int column's deltas span the full int64 range; pin the on-disk
+  // bytes (size and CRC of the whole file) so the encoding stays fixed.
+  const std::string bytes = slurp_file(path);
+  EXPECT_EQ(bytes.size(), 141u);
+  EXPECT_EQ(trace::crc32(bytes.data(), bytes.size()), 0x56217B21u);
   const auto back = trace::read_atl(path);
   ASSERT_EQ(back.rows(), t.rows());
   for (std::size_t r = 0; r < t.rows(); ++r) {

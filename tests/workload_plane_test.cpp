@@ -2,7 +2,7 @@
 // scenario catalog, trace-driven engine replay, and the acceptance
 // contracts of the plane itself — a million-event trace streams through
 // an engine under chunk-bounded reader memory, and replay summaries are
-// byte-identical across campaign thread counts and kernel queue backends.
+// byte-identical across campaign thread counts.
 
 #include <cstdio>
 #include <fstream>
@@ -18,7 +18,6 @@
 #include "atlarge/exp/runner.hpp"
 #include "atlarge/exp/store.hpp"
 #include "atlarge/obs/metrics.hpp"
-#include "atlarge/sim/simulation.hpp"
 #include "atlarge/stats/rng.hpp"
 #include "atlarge/trace/atl.hpp"
 #include "atlarge/trace/catalog.hpp"
@@ -208,8 +207,7 @@ TEST(Acceptance, MillionEventTraceStreamsWithChunkBoundedMemory) {
   // Acceptance test A: generate a 1M-event feed-fanout trace to .atl,
   // stream it through the serverless platform, and assert via the obs
   // gauge that reader-resident memory is bounded by the chunk size — not
-  // the trace size. Also: heap vs calendar kernel queue backends must
-  // produce byte-identical replay summaries.
+  // the trace size.
   const auto* scenario = catalog::find("feed-fanout");
   ASSERT_NE(scenario, nullptr);
   const std::string path = temp_path("million.atl");
@@ -222,35 +220,22 @@ TEST(Acceptance, MillionEventTraceStreamsWithChunkBoundedMemory) {
   const auto file_bytes = slurp(path).size();
   ASSERT_GT(file_bytes, 1'000'000u);  // sanity: multi-MB trace
 
-  std::string first_text;
-  for (const sim::QueueKind kind :
-       {sim::QueueKind::kHeap, sim::QueueKind::kCalendar}) {
-    const auto restore = sim::default_queue_kind();
-    sim::set_default_queue_kind(kind);
-    atlarge::obs::Registry registry;
-    catalog::ReplayOptions options;
-    options.obs = &registry;
-    const auto summary = catalog::replay_file(*scenario, path, options);
-    sim::set_default_queue_kind(restore);
+  atlarge::obs::Registry registry;
+  catalog::ReplayOptions options;
+  options.obs = &registry;
+  const auto summary = catalog::replay_file(*scenario, path, options);
 
-    EXPECT_EQ(summary.events, 1'000'000u);
-    // The bounded-memory contract, asserted through the obs plane: peak
-    // resident decode state is a small multiple of the chunk row count
-    // (5 int columns x 8 bytes decoded + the raw chunk buffer), orders of
-    // magnitude below the file size.
-    const double resident =
-        registry.gauge("trace.reader_resident_bytes").value();
-    EXPECT_GT(resident, 0.0);
-    EXPECT_LT(resident, 64.0 * wo.chunk_rows);
-    EXPECT_LT(resident, static_cast<double>(file_bytes) / 4.0);
-    EXPECT_EQ(registry.counter("trace.reader_rows").value(), 1'000'000u);
-
-    if (first_text.empty())
-      first_text = summary.text();
-    else
-      EXPECT_EQ(summary.text(), first_text)
-          << "queue backend changed replay statistics";
-  }
+  EXPECT_EQ(summary.events, 1'000'000u);
+  // The bounded-memory contract, asserted through the obs plane: peak
+  // resident decode state is a small multiple of the chunk row count
+  // (5 int columns x 8 bytes decoded + the raw chunk buffer), orders of
+  // magnitude below the file size.
+  const double resident =
+      registry.gauge("trace.reader_resident_bytes").value();
+  EXPECT_GT(resident, 0.0);
+  EXPECT_LT(resident, 64.0 * wo.chunk_rows);
+  EXPECT_LT(resident, static_cast<double>(file_bytes) / 4.0);
+  EXPECT_EQ(registry.counter("trace.reader_rows").value(), 1'000'000u);
   std::remove(path.c_str());
 }
 
