@@ -35,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "atlarge/exp/adapters.hpp"
+#include "atlarge/exp/adapter.hpp"
 #include "atlarge/exp/engine.hpp"
 #include "atlarge/obs/observability.hpp"
 

@@ -16,7 +16,7 @@
 
 #include "bench_json_main.hpp"
 
-#include "atlarge/exp/adapters.hpp"
+#include "atlarge/exp/adapter.hpp"
 #include "atlarge/exp/engine.hpp"
 
 using namespace atlarge;
@@ -47,7 +47,7 @@ exp::CampaignSpec bench_spec() {
 // Items/sec counts trials executed.
 void BM_CampaignFresh(benchmark::State& state) {
   const auto spec = bench_spec();
-  const auto adapter = exp::make_serverless_adapter();
+  const auto adapter = exp::make_adapter("serverless");
   exp::RunnerConfig config;
   config.threads = static_cast<std::size_t>(state.range(0));
   std::size_t trials = 0;
@@ -67,7 +67,7 @@ BENCHMARK(BM_CampaignFresh)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 // FNV hash, map lookup, aggregation).
 void BM_CampaignMemoizedRerun(benchmark::State& state) {
   const auto spec = bench_spec();
-  const auto adapter = exp::make_serverless_adapter();
+  const auto adapter = exp::make_adapter("serverless");
   exp::RunnerConfig config;
   config.threads = 1;
   exp::ResultStore store;
@@ -87,7 +87,7 @@ BENCHMARK(BM_CampaignMemoizedRerun);
 // trial (the per-trial fixed cost every mode pays).
 void BM_TrialKeyDerivation(benchmark::State& state) {
   const auto spec = bench_spec();
-  const auto adapter = exp::make_serverless_adapter();
+  const auto adapter = exp::make_adapter("serverless");
   const exp::BoundSpace space(*adapter, spec);
   const auto point = space.grid_point(3);
   std::uint32_t repeat = 0;

@@ -43,7 +43,6 @@
 #include "atlarge/design/memex.hpp"
 #include "atlarge/design/review.hpp"
 #include "atlarge/exp/adapter.hpp"
-#include "atlarge/exp/adapters.hpp"
 #include "atlarge/exp/aggregate.hpp"
 #include "atlarge/exp/campaign.hpp"
 #include "atlarge/exp/engine.hpp"

@@ -1,8 +1,17 @@
-#include "atlarge/exp/adapters.hpp"
+// The built-in campaign domains. Each is one row of a table: its own small,
+// opinionated design space over the domain simulator's config knobs (the
+// axes the paper's own tables sweep), which of the two shared dimensions
+// (faults.rate, workload.scenario) it takes, and a run function over a
+// deterministic seed-derived workload. One adapter class serves every row;
+// rows are stateless, so one adapter can serve every worker thread of a
+// campaign.
+
+#include "atlarge/exp/adapter.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "atlarge/autoscale/autoscalers.hpp"
@@ -36,12 +45,6 @@ std::size_t scaled(std::size_t nominal, double scale, std::size_t floor_at) {
   return std::max(v, floor_at);
 }
 
-/// The shared faults.* dimension: events per 1000 simulated seconds. 0
-/// (the first option, and the one every committed non-chaos spec pins)
-/// runs with no plan at all, so those trials stay byte-identical to a
-/// fault-unaware adapter.
-ParamSpec fault_rate_param() { return {"faults.rate", {0.0, 8.0, 40.0}, {}}; }
-
 /// Seed for the per-trial fault plan: FNV-1a over every parameter EXCEPT
 /// faults.rate itself (and excluding the trial seed, which varies with the
 /// rate through the trial descriptor). Plans at different rates therefore
@@ -61,23 +64,67 @@ std::uint64_t fault_plan_seed(const std::vector<double>& v,
   return h;
 }
 
-/// The shared workload.scenario dimension. Option 0 ("synthetic") keeps the
-/// adapter's built-in generator byte-identical to a trace-unaware adapter —
-/// it is the option every committed non-scenario spec pins. Option 1 replays
-/// the named trace::catalog scenario through the engine's trace-driven
-/// arrival seam. Appended AFTER faults.rate so existing v[] indices — and
-/// the rate_index baked into fault_plan_seed call sites — are unchanged.
-ParamSpec scenario_param(const char* scenario) {
-  return {"workload.scenario", {0.0, 1.0}, {"synthetic", scenario}};
-}
-
-const trace::catalog::Scenario& named_scenario(const char* name) {
+const trace::catalog::Scenario* named_scenario(const char* name) {
   const auto* s = trace::catalog::find(name);
   if (s == nullptr)
     throw std::logic_error(std::string("adapters: unknown catalog scenario ") +
                            name);
-  return *s;
+  return s;
 }
+
+/// A categorical parameter: option i is the index i, rendered as labels[i].
+ParamSpec categorical(std::string name, std::vector<std::string> labels) {
+  ParamSpec param{std::move(name), {}, std::move(labels)};
+  for (std::size_t i = 0; i < param.labels.size(); ++i)
+    param.values.push_back(static_cast<double>(i));
+  return param;
+}
+
+/// One trial as a domain's run function sees it: the design point, with
+/// the two shared dimensions already decoded.
+struct Trial {
+  const std::vector<double>& v;  // params() order: own knobs, then shared
+  std::uint64_t seed;
+  double scale;
+  const std::vector<ParamSpec>& own;  // the row's own knobs: v[0..size)
+  double fault_rate;                  // 0 when the row takes no faults.rate
+  /// The row's catalog scenario when workload.scenario selects it; null
+  /// when the trial runs the domain's built-in synthetic generator.
+  const trace::catalog::Scenario* scenario;
+
+  /// The trial's fault plan: `spec` carries the domain's targets, kinds,
+  /// outage lengths and horizon. At faults.rate 0 there is no plan at all,
+  /// so those trials stay byte-identical to a fault-unaware run.
+  std::optional<fault::FaultPlan> fault_plan(fault::FaultSpec spec) const {
+    if (!(fault_rate > 0.0)) return std::nullopt;
+    spec.rate = fault_rate;
+    spec.seed = fault_plan_seed(v, own.size());  // faults.rate follows own
+    return fault::FaultPlan::generate(spec);
+  }
+
+  /// The chosen option's label of categorical own knob `i`.
+  const std::string& label(std::size_t i) const {
+    return own[i].labels[static_cast<std::size_t>(v[i])];
+  }
+
+  /// The scenario's first scaled(cap) events, floored at a tenth of the
+  /// cap, so a trial stays campaign-priced.
+  std::vector<trace::Event> scenario_events(std::size_t cap) const {
+    return trace::catalog::events(*scenario, seed,
+                                  scaled(cap, scale, cap / 10));
+  }
+
+  /// Jobs from `spec`'s generator or, when replaying, the scenario's
+  /// session starts as one-task jobs capped at the same job budget;
+  /// `spec.horizon` then becomes the scenario's (the fault-plan window).
+  workflow::Workload jobs(workflow::WorkloadSpec& spec) const {
+    if (scenario == nullptr) return workflow::generate(spec);
+    const auto events = scenario_events(40'000);
+    trace::VectorEventStream stream(events);
+    spec.horizon = scenario->horizon();
+    return trace::catalog::to_workload(stream, spec.jobs);
+  }
+};
 
 /// slo_pass / slo_alerts metric pair from a per-trial monitor. Trials are
 /// graded like production services: the SLO passes when no multi-window
@@ -90,604 +137,526 @@ void append_slo_metrics(TrialResult& out, const obs::SloMonitor& slo) {
 
 // ------------------------------------------------------------- portfolio --
 
-class PortfolioAdapter final : public SimulatorAdapter {
- public:
-  std::string domain() const override { return "portfolio"; }
-  std::string objective() const override { return "mean_slowdown"; }
+/// PortfolioScheduler knobs (selection interval, active-set size,
+/// per-task simulation cost) x workload class, run through
+/// sched::simulate. Objective: mean bounded slowdown.
+TrialResult run_portfolio(const Trial& t) {
+  static const workflow::WorkloadClass kClasses[] = {
+      workflow::WorkloadClass::kSynthetic,
+      workflow::WorkloadClass::kScientific,
+      workflow::WorkloadClass::kBigData,
+  };
+  const auto& v = t.v;
+  workflow::WorkloadSpec wspec;
+  wspec.cls = kClasses[static_cast<std::size_t>(v[3])];
+  wspec.jobs = scaled(48, t.scale, 8);
+  wspec.horizon = 4'000.0 * t.scale + 500.0;
+  wspec.seed = t.seed;
+  // A replayed scenario overrides the synthetic workload dimension.
+  const auto workload = t.jobs(wspec);
+  const auto env = cluster::make_homogeneous_cluster("campaign", 16, 8);
 
-  std::vector<ParamSpec> params() const override {
-    return {
-        {"selection_interval", {250.0, 500.0, 1000.0}, {}},
-        {"active_set", {0.0, 2.0, 4.0}, {}},  // 0 = simulate all policies
-        {"cost_per_task_policy", {0.0, 1e-4, 1e-3}, {}},
-        {"workload", {0.0, 1.0, 2.0}, {"Syn", "Sci", "BD"}},
-        fault_rate_param(),
-        scenario_param("ecommerce-spike"),
-    };
-  }
+  sched::PortfolioConfig config;
+  config.selection_interval = v[0];
+  config.active_set = static_cast<std::size_t>(v[1]);
+  config.cost_per_task_policy = v[2];
+  config.seed = t.seed ^ 0x90f0110ULL;
+  config.eval_threads = 1;  // trial-level parallelism only
+  sched::PortfolioScheduler portfolio(sched::standard_policies(), env,
+                                      config);
+  // Per-trial telemetry plane (local, so the thread-safety contract
+  // holds): a queue-saturation SLO graded over the whole run. The
+  // tracer ring is disabled — campaigns only need the SLO verdict.
+  obs::Observability plane(0);
+  obs::SloMonitor slo;
+  obs::SloSpec sspec;
+  sspec.name = "sched-queue";
+  sspec.kind = obs::SloKind::kGaugeAbove;
+  sspec.objective = 0.9;  // queue may exceed the bound 10% of the time
+  sspec.threshold = 64.0;
+  sspec.gauge = &plane.metrics.gauge("sched.eligible_queue");
+  sspec.fast = {120.0, 5.0};
+  sspec.slow = {1200.0, 2.0};
+  slo.add(sspec);
+  plane.attach_slo(&slo);
+  plane.set_sampling_interval(10.0);
 
-  TrialResult run(const std::vector<double>& v, std::uint64_t seed,
-                  double scale) const override {
-    static const workflow::WorkloadClass kClasses[] = {
-        workflow::WorkloadClass::kSynthetic,
-        workflow::WorkloadClass::kScientific,
-        workflow::WorkloadClass::kBigData,
-    };
-    const bool from_trace = v[5] > 0.5;
-    workflow::WorkloadSpec wspec;
-    wspec.cls = kClasses[static_cast<std::size_t>(v[3])];
-    wspec.jobs = scaled(48, scale, 8);
-    wspec.horizon = 4'000.0 * scale + 500.0;
-    wspec.seed = seed;
-    workflow::Workload workload;
-    if (from_trace) {
-      // workload.scenario overrides the synthetic workload dimension: jobs
-      // come from the e-commerce spike trace (session starts -> one-task
-      // jobs), capped at the same job budget as the generator.
-      const auto& scenario = named_scenario("ecommerce-spike");
-      auto events = trace::catalog::events(scenario, seed,
-                                           scaled(40'000, scale, 4'000));
-      trace::VectorEventStream stream(std::move(events));
-      workload = trace::catalog::to_workload(stream, wspec.jobs);
-      wspec.horizon = scenario.horizon();  // fault-plan window
-    } else {
-      workload = workflow::generate(wspec);
-    }
-    const auto env = cluster::make_homogeneous_cluster("campaign", 16, 8);
+  sched::SimOptions options;
+  options.obs = &plane;
+  const auto plan = t.fault_plan({.horizon = wspec.horizon,
+                                  .targets = 16,  // the cluster's machines
+                                  .mean_duration = 120.0,
+                                  .kinds = {fault::FaultKind::kMachineCrash,
+                                            fault::FaultKind::kSlowdown}});
+  if (plan) options.faults = &*plan;
+  const auto result = sched::simulate(env, workload, portfolio, options);
 
-    sched::PortfolioConfig config;
-    config.selection_interval = v[0];
-    config.active_set = static_cast<std::size_t>(v[1]);
-    config.cost_per_task_policy = v[2];
-    config.seed = seed ^ 0x90f0110ULL;
-    config.eval_threads = 1;  // trial-level parallelism only
-    sched::PortfolioScheduler portfolio(sched::standard_policies(), env,
-                                        config);
-    // Per-trial telemetry plane (local, so the thread-safety contract
-    // holds): a queue-saturation SLO graded over the whole run. The
-    // tracer ring is disabled — campaigns only need the SLO verdict.
-    obs::Observability plane(0);
-    obs::SloMonitor slo;
-    obs::SloSpec sspec;
-    sspec.name = "sched-queue";
-    sspec.kind = obs::SloKind::kGaugeAbove;
-    sspec.objective = 0.9;  // queue may exceed the bound 10% of the time
-    sspec.threshold = 64.0;
-    sspec.gauge = &plane.metrics.gauge("sched.eligible_queue");
-    sspec.fast = {120.0, 5.0};
-    sspec.slow = {1200.0, 2.0};
-    slo.add(sspec);
-    plane.attach_slo(&slo);
-    plane.set_sampling_interval(10.0);
-
-    sched::SimOptions options;
-    options.obs = &plane;
-    fault::FaultPlan plan;
-    if (v[4] > 0.0) {
-      fault::FaultSpec fspec;
-      fspec.rate = v[4];
-      fspec.horizon = wspec.horizon;
-      fspec.seed = fault_plan_seed(v, 4);
-      fspec.targets = 16;  // machine count of the campaign cluster
-      fspec.mean_duration = 120.0;
-      fspec.kinds = {fault::FaultKind::kMachineCrash,
-                     fault::FaultKind::kSlowdown};
-      plan = fault::FaultPlan::generate(fspec);
-      options.faults = &plan;
-    }
-    const auto result = sched::simulate(env, workload, portfolio, options);
-
-    TrialResult out;
-    out.objective = result.mean_slowdown;
-    out.metrics = {
-        {"mean_slowdown", result.mean_slowdown},
-        {"median_slowdown", result.median_slowdown},
-        {"p95_slowdown", result.p95_slowdown},
-        {"p999_slowdown", result.p999_slowdown},
-        {"mean_wait", result.mean_wait},
-        {"makespan", result.makespan},
-        {"utilization", result.utilization},
-        {"decision_overhead", result.decision_overhead},
-        {"tasks_completed", static_cast<double>(result.tasks_completed)},
-        {"faults_injected", static_cast<double>(result.faults_injected)},
-        {"tasks_requeued", static_cast<double>(result.tasks_requeued)},
-    };
-    append_slo_metrics(out, slo);
-    out.digest = result.slowdown_digest.serialize();
-    return out;
-  }
-};
+  TrialResult out;
+  out.objective = result.mean_slowdown;
+  out.metrics = {
+      {"mean_slowdown", result.mean_slowdown},
+      {"median_slowdown", result.median_slowdown},
+      {"p95_slowdown", result.p95_slowdown},
+      {"p999_slowdown", result.p999_slowdown},
+      {"mean_wait", result.mean_wait},
+      {"makespan", result.makespan},
+      {"utilization", result.utilization},
+      {"decision_overhead", result.decision_overhead},
+      {"tasks_completed", static_cast<double>(result.tasks_completed)},
+      {"faults_injected", static_cast<double>(result.faults_injected)},
+      {"tasks_requeued", static_cast<double>(result.tasks_requeued)},
+  };
+  append_slo_metrics(out, slo);
+  out.digest = result.slowdown_digest.serialize();
+  return out;
+}
 
 // ------------------------------------------------------------ serverless --
 
-class ServerlessAdapter final : public SimulatorAdapter {
- public:
-  std::string domain() const override { return "serverless"; }
-  std::string objective() const override { return "p95_latency"; }
+/// FaaS platform keep-alive / pre-warm / concurrency cap against a bursty
+/// invocation stream. Objective: p95 latency.
+TrialResult run_serverless(const Trial& t) {
+  const std::vector<serverless::FunctionSpec> registry = {
+      {"api", 0.08, 0.9, 128.0},
+      {"etl", 0.5, 1.8, 512.0},
+      {"ml", 1.2, 2.5, 1024.0},
+  };
+  const double horizon = t.scenario != nullptr
+                             ? t.scenario->horizon()
+                             : std::max(120.0, 1'500.0 * t.scale);
 
-  std::vector<ParamSpec> params() const override {
-    return {
-        {"keep_alive", {0.0, 60.0, 300.0, 600.0}, {}},
-        {"prewarmed", {0.0, 2.0, 8.0}, {}},
-        {"max_instances", {32.0, 128.0, 512.0}, {}},
-        fault_rate_param(),
-        scenario_param("feed-fanout"),
-    };
+  // Per-trial telemetry plane: an availability SLO over the request
+  // error ratio, evaluated continuously while the platform runs. With
+  // faults.rate > 0 the loss/cold-start-failure windows this plan
+  // injects are exactly what the burn-rate monitor is built to detect.
+  obs::Observability plane(0);
+  obs::SloMonitor slo;
+  obs::SloSpec sspec;
+  sspec.name = "faas-availability";
+  sspec.kind = obs::SloKind::kErrorRatio;
+  sspec.objective = 0.95;  // 5% error budget
+  sspec.bad = &plane.metrics.counter("faas.failed");
+  sspec.total = &plane.metrics.counter("faas.requests");
+  sspec.fast = {60.0, 4.0};   // >= 20% of the last minute's requests bad
+  sspec.slow = {600.0, 1.0};  // >= 5% over ten minutes
+  slo.add(sspec);
+  plane.attach_slo(&slo);
+  plane.set_sampling_interval(5.0);
+
+  serverless::PlatformConfig config;
+  config.obs = &plane;
+  config.keep_alive = t.v[0];
+  config.prewarmed = static_cast<std::uint32_t>(t.v[1]);
+  config.max_instances = static_cast<std::uint32_t>(t.v[2]);
+  const auto plan =
+      t.fault_plan({.horizon = horizon,
+                    .targets = static_cast<std::uint32_t>(registry.size()),
+                    .mean_duration = 30.0,
+                    .kinds = {fault::FaultKind::kMessageLoss,
+                              fault::FaultKind::kMessageDelay,
+                              fault::FaultKind::kColdStartFailure}});
+  if (plan) {
+    config.faults = &*plan;
+    config.retry.max_attempts = 2;
+    config.retry.timeout = 10.0;
+  }
+  serverless::PlatformResult result;
+  if (t.scenario != nullptr) {
+    // Trace-driven arrivals streamed through the platform's pull-based
+    // invocation seam. Requests route to functions by region.
+    const auto events = t.scenario_events(30'000);
+    trace::VectorEventStream stream(events);
+    trace::catalog::RequestInvocationSource source(stream, registry.size());
+    result = serverless::run_platform(registry, source, config);
+  } else {
+    stats::Rng rng(t.seed);
+    const auto invocations = serverless::bursty_invocations(
+        registry.size(), 1.5, horizon, 180.0, scaled(48, t.scale, 6), rng);
+    result = serverless::run_platform(registry, invocations, config);
   }
 
-  TrialResult run(const std::vector<double>& v, std::uint64_t seed,
-                  double scale) const override {
-    const std::vector<serverless::FunctionSpec> registry = {
-        {"api", 0.08, 0.9, 128.0},
-        {"etl", 0.5, 1.8, 512.0},
-        {"ml", 1.2, 2.5, 1024.0},
-    };
-    const bool from_trace = v[4] > 0.5;
-    const double horizon =
-        from_trace ? named_scenario("feed-fanout").horizon()
-                   : std::max(120.0, 1'500.0 * scale);
-
-    // Per-trial telemetry plane: an availability SLO over the request
-    // error ratio, evaluated continuously while the platform runs. With
-    // faults.rate > 0 the loss/cold-start-failure windows this plan
-    // injects are exactly what the burn-rate monitor is built to detect.
-    obs::Observability plane(0);
-    obs::SloMonitor slo;
-    obs::SloSpec sspec;
-    sspec.name = "faas-availability";
-    sspec.kind = obs::SloKind::kErrorRatio;
-    sspec.objective = 0.95;  // 5% error budget
-    sspec.bad = &plane.metrics.counter("faas.failed");
-    sspec.total = &plane.metrics.counter("faas.requests");
-    sspec.fast = {60.0, 4.0};   // >= 20% of the last minute's requests bad
-    sspec.slow = {600.0, 1.0};  // >= 5% over ten minutes
-    slo.add(sspec);
-    plane.attach_slo(&slo);
-    plane.set_sampling_interval(5.0);
-
-    serverless::PlatformConfig config;
-    config.obs = &plane;
-    config.keep_alive = v[0];
-    config.prewarmed = static_cast<std::uint32_t>(v[1]);
-    config.max_instances = static_cast<std::uint32_t>(v[2]);
-    fault::FaultPlan plan;
-    if (v[3] > 0.0) {
-      fault::FaultSpec fspec;
-      fspec.rate = v[3];
-      fspec.horizon = horizon;
-      fspec.seed = fault_plan_seed(v, 3);
-      fspec.targets = static_cast<std::uint32_t>(registry.size());
-      fspec.mean_duration = 30.0;
-      fspec.kinds = {fault::FaultKind::kMessageLoss,
-                     fault::FaultKind::kMessageDelay,
-                     fault::FaultKind::kColdStartFailure};
-      plan = fault::FaultPlan::generate(fspec);
-      config.faults = &plan;
-      config.retry.max_attempts = 2;
-      config.retry.timeout = 10.0;
-    }
-    serverless::PlatformResult result;
-    if (from_trace) {
-      // Trace-driven arrivals: the feed-fanout flashcrowd scenario, capped
-      // so a trial stays campaign-priced, streamed through the platform's
-      // pull-based invocation seam. Requests route to functions by region.
-      auto events = trace::catalog::events(
-          named_scenario("feed-fanout"), seed, scaled(30'000, scale, 3'000));
-      trace::VectorEventStream stream(std::move(events));
-      trace::catalog::RequestInvocationSource source(stream, registry.size());
-      result = serverless::run_platform(registry, source, config);
-    } else {
-      stats::Rng rng(seed);
-      const auto invocations = serverless::bursty_invocations(
-          registry.size(), 1.5, horizon, 180.0, scaled(48, scale, 6), rng);
-      result = serverless::run_platform(registry, invocations, config);
-    }
-
-    TrialResult out;
-    out.objective = result.p95_latency;
-    out.metrics = {
-        {"p50_latency", result.p50_latency},
-        {"p95_latency", result.p95_latency},
-        {"p99_latency", result.p99_latency},
-        {"cold_fraction", result.cold_fraction},
-        {"billed_instance_seconds", result.billed_instance_seconds},
-        {"busy_instance_seconds", result.busy_instance_seconds},
-        {"peak_instances", static_cast<double>(result.peak_instances)},
-        {"invocations", static_cast<double>(result.invocations.size())},
-        {"success_rate", result.success_rate},
-        {"failed", static_cast<double>(result.failed_invocations)},
-        {"retries", static_cast<double>(result.retries)},
-        {"faults_injected", static_cast<double>(result.faults_injected)},
-        {"p999_latency", result.p999_latency},
-    };
-    append_slo_metrics(out, slo);
-    out.digest = result.latency_digest.serialize();
-    return out;
-  }
-};
+  TrialResult out;
+  out.objective = result.p95_latency;
+  out.metrics = {
+      {"p50_latency", result.p50_latency},
+      {"p95_latency", result.p95_latency},
+      {"p99_latency", result.p99_latency},
+      {"cold_fraction", result.cold_fraction},
+      {"billed_instance_seconds", result.billed_instance_seconds},
+      {"busy_instance_seconds", result.busy_instance_seconds},
+      {"peak_instances", static_cast<double>(result.peak_instances)},
+      {"invocations", static_cast<double>(result.invocations.size())},
+      {"success_rate", result.success_rate},
+      {"failed", static_cast<double>(result.failed_invocations)},
+      {"retries", static_cast<double>(result.retries)},
+      {"faults_injected", static_cast<double>(result.faults_injected)},
+      {"p999_latency", result.p999_latency},
+  };
+  append_slo_metrics(out, slo);
+  out.digest = result.latency_digest.serialize();
+  return out;
+}
 
 // ------------------------------------------------------------- autoscale --
 
-class AutoscaleAdapter final : public SimulatorAdapter {
- public:
-  AutoscaleAdapter() {
-    for (const auto& scaler : autoscale::standard_autoscalers())
-      names_.push_back(scaler->name());
-  }
+std::vector<std::string> autoscaler_names() {
+  std::vector<std::string> names;
+  for (const auto& scaler : autoscale::standard_autoscalers())
+    names.push_back(scaler->name());
+  return names;
+}
 
-  std::string domain() const override { return "autoscale"; }
-  std::string objective() const override { return "mean_slowdown"; }
+/// Autoscaler policy x machine shape x provisioning delay x decision
+/// interval on an industrial workflow load. Objective: mean slowdown.
+TrialResult run_autoscale(const Trial& t) {
+  const auto& v = t.v;
+  workflow::WorkloadSpec wspec;
+  wspec.cls = workflow::WorkloadClass::kIndustrial;
+  wspec.jobs = scaled(28, t.scale, 6);
+  wspec.horizon = 6'000.0 * t.scale + 600.0;
+  wspec.seed = t.seed;
+  const auto workload = t.jobs(wspec);
 
-  std::vector<ParamSpec> params() const override {
-    ParamSpec autoscaler{"autoscaler", {}, names_};
-    for (std::size_t i = 0; i < names_.size(); ++i)
-      autoscaler.values.push_back(static_cast<double>(i));
-    return {
-        std::move(autoscaler),
-        {"cores_per_machine", {2.0, 4.0, 8.0}, {}},
-        {"provisioning_delay", {30.0, 60.0, 120.0}, {}},
-        {"interval", {30.0, 60.0}, {}},
-        fault_rate_param(),
-        scenario_param("gaming-diurnal"),
-    };
-  }
+  auto zoo = autoscale::standard_autoscalers();
+  const auto idx = static_cast<std::size_t>(v[0]);
+  if (idx >= zoo.size())
+    throw std::invalid_argument("autoscale adapter: bad autoscaler index");
 
-  TrialResult run(const std::vector<double>& v, std::uint64_t seed,
-                  double scale) const override {
-    const bool from_trace = v[5] > 0.5;
-    workflow::WorkloadSpec wspec;
-    wspec.cls = workflow::WorkloadClass::kIndustrial;
-    wspec.jobs = scaled(28, scale, 6);
-    wspec.horizon = 6'000.0 * scale + 600.0;
-    wspec.seed = seed;
-    workflow::Workload workload;
-    if (from_trace) {
-      const auto& scenario = named_scenario("gaming-diurnal");
-      auto events = trace::catalog::events(scenario, seed,
-                                           scaled(40'000, scale, 4'000));
-      trace::VectorEventStream stream(std::move(events));
-      workload = trace::catalog::to_workload(stream, wspec.jobs);
-      wspec.horizon = scenario.horizon();  // fault-plan window
-    } else {
-      workload = workflow::generate(wspec);
-    }
+  autoscale::ElasticConfig config;
+  config.cores_per_machine = static_cast<std::uint32_t>(v[1]);
+  config.max_machines = 48;
+  config.provisioning_delay = v[2];
+  config.interval = v[3];
+  const auto plan = t.fault_plan({.horizon = wspec.horizon,
+                                  .targets = config.max_machines,
+                                  .mean_duration = 180.0,
+                                  .kinds = {fault::FaultKind::kMachineCrash}});
+  if (plan) config.faults = &*plan;
+  const auto result = autoscale::run_elastic(workload, *zoo[idx], config);
 
-    auto zoo = autoscale::standard_autoscalers();
-    const auto idx = static_cast<std::size_t>(v[0]);
-    if (idx >= zoo.size())
-      throw std::invalid_argument("autoscale adapter: bad autoscaler index");
+  double rented_seconds = 0.0;
+  for (const double r : result.rentals) rented_seconds += r;
 
-    autoscale::ElasticConfig config;
-    config.cores_per_machine = static_cast<std::uint32_t>(v[1]);
-    config.max_machines = 48;
-    config.provisioning_delay = v[2];
-    config.interval = v[3];
-    fault::FaultPlan plan;
-    if (v[4] > 0.0) {
-      fault::FaultSpec fspec;
-      fspec.rate = v[4];
-      fspec.horizon = wspec.horizon;
-      fspec.seed = fault_plan_seed(v, 4);
-      fspec.targets = config.max_machines;
-      fspec.mean_duration = 180.0;
-      fspec.kinds = {fault::FaultKind::kMachineCrash};
-      plan = fault::FaultPlan::generate(fspec);
-      config.faults = &plan;
-    }
-    const auto result = autoscale::run_elastic(workload, *zoo[idx], config);
-
-    double rented_seconds = 0.0;
-    for (const double r : result.rentals) rented_seconds += r;
-
-    TrialResult out;
-    out.objective = result.mean_slowdown;
-    out.metrics = {
-        {"mean_slowdown", result.mean_slowdown},
-        {"median_slowdown", result.median_slowdown},
-        {"mean_response", result.mean_response},
-        {"makespan", result.makespan},
-        {"deadline_violation_rate", result.deadline_violation_rate()},
-        {"norm_accuracy_over", result.metrics.norm_accuracy_over},
-        {"norm_accuracy_under", result.metrics.norm_accuracy_under},
-        {"machine_seconds", rented_seconds},
-        {"faults_injected", static_cast<double>(result.faults_injected)},
-        {"tasks_requeued", static_cast<double>(result.tasks_requeued)},
-    };
-    out.digest = result.slowdown_digest.serialize();
-    return out;
-  }
-
- private:
-  std::vector<std::string> names_;
-};
+  TrialResult out;
+  out.objective = result.mean_slowdown;
+  out.metrics = {
+      {"mean_slowdown", result.mean_slowdown},
+      {"median_slowdown", result.median_slowdown},
+      {"mean_response", result.mean_response},
+      {"makespan", result.makespan},
+      {"deadline_violation_rate", result.deadline_violation_rate()},
+      {"norm_accuracy_over", result.metrics.norm_accuracy_over},
+      {"norm_accuracy_under", result.metrics.norm_accuracy_under},
+      {"machine_seconds", rented_seconds},
+      {"faults_injected", static_cast<double>(result.faults_injected)},
+      {"tasks_requeued", static_cast<double>(result.tasks_requeued)},
+  };
+  out.digest = result.slowdown_digest.serialize();
+  return out;
+}
 
 // ------------------------------------------------------------------- p2p --
 
-class P2pAdapter final : public SimulatorAdapter {
- public:
-  std::string domain() const override { return "p2p"; }
-  std::string objective() const override { return "median_download_time"; }
+/// Swarm seeding/capacity knobs under a flashcrowd. Objective: median
+/// download time.
+TrialResult run_p2p(const Trial& t) {
+  p2p::SwarmConfig config;
+  config.content_mb = std::max(50.0, 350.0 * t.scale);
+  config.peer_upload_mbps = t.v[0];
+  config.seed_upload_mbps = t.v[1];
+  config.initial_seeds = static_cast<int>(t.v[2]);
+  config.seed_time_mean = t.v[3];
+  config.seed = t.seed;
 
-  std::vector<ParamSpec> params() const override {
-    return {
-        {"peer_upload_mbps", {0.5, 1.0, 2.0}, {}},
-        {"seed_upload_mbps", {4.0, 8.0, 16.0}, {}},
-        {"initial_seeds", {1.0, 4.0}, {}},
-        {"seed_time_mean", {600.0, 1800.0}, {}},
-        fault_rate_param(),
-        scenario_param("video-flashcrowd"),
-    };
+  // Scenario replays need room past the trace horizon for the tail of
+  // the swarm to finish downloading.
+  const double horizon = t.scenario != nullptr
+                             ? t.scenario->horizon() * 2.0
+                             : std::max(2'000.0, 20'000.0 * t.scale);
+  const auto plan = t.fault_plan({.horizon = horizon,
+                                  .targets = 1,
+                                  .mean_magnitude = 0.3,
+                                  .kinds = {fault::FaultKind::kChurnSpike}});
+  if (plan) config.faults = &*plan;
+  p2p::SwarmResult result;
+  if (t.scenario != nullptr) {
+    const auto events = t.scenario_events(20'000);
+    trace::VectorEventStream stream(events);
+    trace::catalog::SessionArrivalSource source(stream);
+    result = p2p::simulate_swarm(config, source, horizon);
+  } else {
+    stats::Rng rng(t.seed ^ 0xa11afeedULL);
+    const auto arrivals = p2p::flashcrowd_arrivals(
+        0.02, horizon * 0.5, scaled(120, t.scale, 16), horizon * 0.1, 10.0,
+        rng);
+    result = p2p::simulate_swarm(config, arrivals, horizon);
   }
 
-  TrialResult run(const std::vector<double>& v, std::uint64_t seed,
-                  double scale) const override {
-    p2p::SwarmConfig config;
-    config.content_mb = std::max(50.0, 350.0 * scale);
-    config.peer_upload_mbps = v[0];
-    config.seed_upload_mbps = v[1];
-    config.initial_seeds = static_cast<int>(v[2]);
-    config.seed_time_mean = v[3];
-    config.seed = seed;
-
-    const bool from_trace = v[5] > 0.5;
-    // Scenario replays need room past the trace horizon for the tail of
-    // the swarm to finish downloading.
-    const double horizon =
-        from_trace ? named_scenario("video-flashcrowd").horizon() * 2.0
-                   : std::max(2'000.0, 20'000.0 * scale);
-    fault::FaultPlan plan;
-    if (v[4] > 0.0) {
-      fault::FaultSpec fspec;
-      fspec.rate = v[4];
-      fspec.horizon = horizon;
-      fspec.seed = fault_plan_seed(v, 4);
-      fspec.targets = 1;
-      fspec.mean_magnitude = 0.3;
-      fspec.kinds = {fault::FaultKind::kChurnSpike};
-      plan = fault::FaultPlan::generate(fspec);
-      config.faults = &plan;
-    }
-    p2p::SwarmResult result;
-    if (from_trace) {
-      auto events = trace::catalog::events(
-          named_scenario("video-flashcrowd"), seed,
-          scaled(20'000, scale, 2'000));
-      trace::VectorEventStream stream(std::move(events));
-      trace::catalog::SessionArrivalSource source(stream);
-      result = p2p::simulate_swarm(config, source, horizon);
-    } else {
-      stats::Rng rng(seed ^ 0xa11afeedULL);
-      const auto arrivals = p2p::flashcrowd_arrivals(
-          0.02, horizon * 0.5, scaled(120, scale, 16), horizon * 0.1, 10.0,
-          rng);
-      result = p2p::simulate_swarm(config, arrivals, horizon);
-    }
-
-    TrialResult out;
-    out.objective = result.median_download_time;
-    out.metrics = {
-        {"median_download_time", result.median_download_time},
-        {"mean_download_time", result.mean_download_time},
-        {"finished", static_cast<double>(result.finished)},
-        {"aborted", static_cast<double>(result.aborted)},
-        {"peak_swarm_size", static_cast<double>(result.peak_swarm_size)},
-        {"peers", static_cast<double>(result.peers.size())},
-        {"churned", static_cast<double>(result.churned)},
-    };
-    out.digest = result.download_digest.serialize();
-    return out;
-  }
-};
+  TrialResult out;
+  out.objective = result.median_download_time;
+  out.metrics = {
+      {"median_download_time", result.median_download_time},
+      {"mean_download_time", result.mean_download_time},
+      {"finished", static_cast<double>(result.finished)},
+      {"aborted", static_cast<double>(result.aborted)},
+      {"peak_swarm_size", static_cast<double>(result.peak_swarm_size)},
+      {"peers", static_cast<double>(result.peers.size())},
+      {"churned", static_cast<double>(result.churned)},
+  };
+  out.digest = result.download_digest.serialize();
+  return out;
+}
 
 // ----------------------------------------------------------------- graph --
 
-class GraphAdapter final : public SimulatorAdapter {
- public:
-  std::string domain() const override { return "graph"; }
-  std::string objective() const override { return "runtime_proxy"; }
+std::vector<std::string> algorithm_names() {
+  std::vector<std::string> names;
+  for (const auto algo : graph::all_algorithms())
+    names.push_back(graph::to_string(algo));
+  return names;
+}
 
-  std::vector<ParamSpec> params() const override {
-    ParamSpec algorithm{"algorithm", {}, {}};
-    const auto& algos = graph::all_algorithms();
-    for (std::size_t i = 0; i < algos.size(); ++i) {
-      algorithm.values.push_back(static_cast<double>(i));
-      algorithm.labels.push_back(graph::to_string(algos[i]));
-    }
-    return {
-        {"dataset", {0.0, 1.0, 2.0}, {"social", "random", "grid"}},
-        {"scale_k", {1.0, 4.0, 16.0}, {}},  // thousands of vertices
-        std::move(algorithm),
-        {"threads", {1.0, 2.0, 4.0}, {}},
-    };
-  }
-
-  TrialResult run(const std::vector<double>& v, std::uint64_t seed,
-                  double scale) const override {
-    const auto n = static_cast<graph::VertexId>(
-        scaled(static_cast<std::size_t>(std::llround(v[1] * 1000.0)), scale,
-               64));
-    stats::Rng rng(seed ^ 0x6ea9ULL);
-    graph::Graph g = [&] {
-      switch (static_cast<int>(v[0])) {
-        case 0: return graph::preferential_attachment(n, 8, rng);
-        case 1: return graph::erdos_renyi(n, 8.0, rng);
-        default: {
-          const auto side = static_cast<graph::VertexId>(std::max(
-              8.0, std::round(std::sqrt(static_cast<double>(n)))));
-          return graph::grid_2d(side);
-        }
+/// The Graphalytics kernels over dataset family x scale x algorithm x
+/// threads. Each trial runs the real kernel, then prices its measured work
+/// profile on the Native-1N platform model. Objective: predicted runtime.
+TrialResult run_graph(const Trial& t) {
+  const auto& v = t.v;
+  const auto n = static_cast<graph::VertexId>(
+      scaled(static_cast<std::size_t>(std::llround(v[1] * 1000.0)), t.scale,
+             64));
+  stats::Rng rng(t.seed ^ 0x6ea9ULL);
+  graph::Graph g = [&] {
+    switch (static_cast<int>(v[0])) {
+      case 0: return graph::preferential_attachment(n, 8, rng);
+      case 1: return graph::erdos_renyi(n, 8.0, rng);
+      default: {
+        const auto side = static_cast<graph::VertexId>(std::max(
+            8.0, std::round(std::sqrt(static_cast<double>(n)))));
+        return graph::grid_2d(side);
       }
-    }();
+    }
+  }();
 
-    const auto algo =
-        graph::all_algorithms()[static_cast<std::size_t>(v[2])];
-    graph::KernelOptions opts;
-    opts.threads = static_cast<std::uint32_t>(v[3]);
-    const graph::WorkProfile work = graph::run_algorithm(g, algo, opts);
+  const auto algo = graph::all_algorithms()[static_cast<std::size_t>(v[2])];
+  graph::KernelOptions opts;
+  opts.threads = static_cast<std::uint32_t>(v[3]);
+  const graph::WorkProfile work = graph::run_algorithm(g, algo, opts);
 
-    // Price the measured profile on the single-node native platform model
-    // — a deterministic runtime proxy, unlike wall-clock timing, so memoed
-    // trials replay byte-identically.
-    const auto platforms = graph::standard_platforms();
-    const auto native = std::find_if(
-        platforms.begin(), platforms.end(),
-        [](const auto& p) { return p.name == "Native-1N"; });
-    const double runtime =
-        graph::predict_runtime(*native, algo, work, g.num_vertices(),
-                               g.num_edges()) /
-        static_cast<double>(opts.threads);
+  // Price the measured profile on the single-node native platform model
+  // — a deterministic runtime proxy, unlike wall-clock timing, so memoed
+  // trials replay byte-identically.
+  const auto platforms = graph::standard_platforms();
+  const auto native = std::find_if(
+      platforms.begin(), platforms.end(),
+      [](const auto& p) { return p.name == "Native-1N"; });
+  const double runtime =
+      graph::predict_runtime(*native, algo, work, g.num_vertices(),
+                             g.num_edges()) /
+      static_cast<double>(opts.threads);
 
-    TrialResult out;
-    out.objective = runtime;
-    out.metrics = {
-        {"runtime_proxy", runtime},
-        {"edges_traversed", static_cast<double>(work.edges_traversed)},
-        {"iterations", static_cast<double>(work.iterations)},
-        {"vertices", static_cast<double>(g.num_vertices())},
-        {"edges", static_cast<double>(g.num_edges())},
-    };
-    return out;
-  }
-};
+  TrialResult out;
+  out.objective = runtime;
+  out.metrics = {
+      {"runtime_proxy", runtime},
+      {"edges_traversed", static_cast<double>(work.edges_traversed)},
+      {"iterations", static_cast<double>(work.iterations)},
+      {"vertices", static_cast<double>(g.num_vertices())},
+      {"edges", static_cast<double>(g.num_edges())},
+  };
+  return out;
+}
 
 // ------------------------------------------------------------------ eco --
 
-class EcoAdapter final : public SimulatorAdapter {
+/// The full ecosystem composition (Section 2's "systems of systems"):
+/// serverless, MMOG zones and workflow DAGs co-tenant on one cluster
+/// fabric. Sweeps the fabric shape against the control-plane choices, so
+/// campaigns measure cross-domain interference, not a simulator in
+/// isolation. Objective: serverless p95 latency under co-tenancy.
+TrialResult run_eco(const Trial& t) {
+  const auto& v = t.v;
+
+  eco::EcosystemSpec spec;
+  spec.horizon = std::max(900.0, 3'600.0 * t.scale);
+  spec.fabric.machines = static_cast<std::uint32_t>(v[0]);
+  spec.fabric.cores_per_machine = 8;
+  spec.fabric.provisioning_delay = v[1];
+
+  spec.serverless.enabled = true;
+  spec.serverless.backing = eco::ServerlessBacking::kCluster;
+  spec.serverless.instance_cores = 1;
+  spec.serverless.registry = {{"api", 0.08, 0.9, 128.0},
+                              {"etl", 0.5, 1.8, 512.0}};
+  spec.serverless.config.keep_alive = 120.0;
+  spec.serverless.config.prewarmed = 0;
+  stats::Rng faas_rng(t.seed ^ 0x9e3779b97f4a7c15ULL);
+  spec.serverless.invocations = serverless::bursty_invocations(
+      spec.serverless.registry.size(), 1.0, 0.8 * spec.horizon, 240.0,
+      scaled(24, t.scale, 4), faas_rng);
+
+  spec.mmog.enabled = true;
+  spec.mmog.provisioning = eco::ZoneProvisioning::kAutoscaled;
+  spec.mmog.autoscaler = t.label(2);
+  spec.mmog.avatars_per_machine = 32;
+  spec.mmog.report_interval = 30.0;
+  spec.mmog.initial_machines = 1;
+  spec.mmog.config.zones = 6;
+  spec.mmog.config.crossing_time = 5.0;
+  spec.mmog.config.act_mean = 25.0;
+  spec.mmog.config.migrate_prob = 0.1;
+  spec.mmog.config.session_mean = 0.5 * spec.horizon;
+  spec.mmog.config.seed = t.seed;
+  spec.mmog.arrivals = mmog::synthetic_zone_arrivals(
+      scaled(300, t.scale, 32), spec.mmog.config.zones, 0.6 * spec.horizon,
+      t.seed);
+
+  spec.dags.enabled = true;
+  spec.dags.scheduling = eco::DagScheduling::kSharedFabric;
+  spec.dags.policy = t.label(3);
+  workflow::WorkloadSpec jobs;
+  jobs.cls = workflow::WorkloadClass::kSynthetic;
+  jobs.jobs = scaled(24, t.scale, 4);
+  jobs.horizon = 0.5 * spec.horizon;
+  jobs.seed = t.seed ^ 0xda3e39cb94b95bdbULL;
+  spec.dags.workload = workflow::generate(jobs);
+
+  const auto plan =
+      t.fault_plan({.horizon = spec.horizon,
+                    .targets = static_cast<std::uint32_t>(spec.fabric.machines),
+                    .mean_duration = 60.0,
+                    .kinds = {fault::FaultKind::kMachineCrash}});
+  if (plan) spec.faults = &*plan;
+
+  const eco::EcosystemResult r = eco::run_ecosystem(spec);
+
+  TrialResult out;
+  out.objective = r.faas.p95_latency;
+  out.metrics = {
+      {"faas_p95_latency", r.faas.p95_latency},
+      {"faas_p50_latency", r.faas.p50_latency},
+      {"faas_cold_fraction", r.faas.cold_fraction},
+      {"faas_failed", static_cast<double>(r.faas.failed_invocations)},
+      {"faas_denials", static_cast<double>(r.fabric.faas_denials)},
+      {"zones_residents", static_cast<double>(r.zones.residents)},
+      {"zones_queued_logins", static_cast<double>(r.zones.queued_logins)},
+      {"dags_mean_wait", r.dags.mean_wait},
+      {"dags_mean_slowdown", r.dags.mean_slowdown},
+      {"dags_tasks_requeued", static_cast<double>(r.dags.tasks_requeued)},
+      {"fabric_machine_leases", static_cast<double>(r.fabric.machine_leases)},
+      {"fabric_autoscale_decisions",
+       static_cast<double>(r.fabric.autoscale_decisions)},
+      {"fabric_peak_cores_leased",
+       static_cast<double>(r.fabric.peak_cores_leased)},
+      {"fabric_crashes", static_cast<double>(r.fabric.crashes)},
+  };
+  out.digest = r.faas.latency_digest.serialize();
+  return out;
+}
+
+// ---------------------------------------------------------- domain table --
+
+/// One campaign domain. Its design space is `params`, then faults.rate
+/// when `faults` is set, then workload.scenario when `scenario` is set.
+struct Domain {
+  std::string name;
+  std::string objective;
+  std::vector<ParamSpec> params;  // the domain's own knobs
+  bool faults;
+  const trace::catalog::Scenario* scenario;  // replayed as workload.scenario
+  TrialResult (*run)(const Trial&);
+};
+
+/// The domains in presentation order. Built on first use: the autoscaler
+/// and algorithm labels come from their registries.
+const std::vector<Domain>& domain_table() {
+  static const std::vector<Domain> kDomains = {
+      {"portfolio", "mean_slowdown",
+       {{"selection_interval", {250.0, 500.0, 1000.0}, {}},
+        {"active_set", {0.0, 2.0, 4.0}, {}},  // 0 = simulate all policies
+        {"cost_per_task_policy", {0.0, 1e-4, 1e-3}, {}},
+        categorical("workload", {"Syn", "Sci", "BD"})},
+       true, named_scenario("ecommerce-spike"), run_portfolio},
+      {"serverless", "p95_latency",
+       {{"keep_alive", {0.0, 60.0, 300.0, 600.0}, {}},
+        {"prewarmed", {0.0, 2.0, 8.0}, {}},
+        {"max_instances", {32.0, 128.0, 512.0}, {}}},
+       true, named_scenario("feed-fanout"), run_serverless},
+      {"autoscale", "mean_slowdown",
+       {categorical("autoscaler", autoscaler_names()),
+        {"cores_per_machine", {2.0, 4.0, 8.0}, {}},
+        {"provisioning_delay", {30.0, 60.0, 120.0}, {}},
+        {"interval", {30.0, 60.0}, {}}},
+       true, named_scenario("gaming-diurnal"), run_autoscale},
+      {"p2p", "median_download_time",
+       {{"peer_upload_mbps", {0.5, 1.0, 2.0}, {}},
+        {"seed_upload_mbps", {4.0, 8.0, 16.0}, {}},
+        {"initial_seeds", {1.0, 4.0}, {}},
+        {"seed_time_mean", {600.0, 1800.0}, {}}},
+       true, named_scenario("video-flashcrowd"), run_p2p},
+      // The graph domain runs real kernels, not a simulation: no faults.
+      {"graph", "runtime_proxy",
+       {categorical("dataset", {"social", "random", "grid"}),
+        {"scale_k", {1.0, 4.0, 16.0}, {}},  // thousands of vertices
+        categorical("algorithm", algorithm_names()),
+        {"threads", {1.0, 2.0, 4.0}, {}}},
+       false, nullptr, run_graph},
+      {"eco", "faas_p95_latency",
+       {{"eco.machines", {8.0, 16.0, 32.0}, {}},
+        {"eco.provisioning_delay", {15.0, 45.0, 120.0}, {}},
+        categorical("eco.autoscaler", {"React", "Hist", "Token"}),
+        categorical("eco.policy", {"FCFS", "EASY-BF", "SJF"})},
+       true, nullptr, run_eco},
+  };
+  return kDomains;
+}
+
+class DomainAdapter final : public SimulatorAdapter {
  public:
-  std::string domain() const override { return "eco"; }
-  std::string objective() const override { return "faas_p95_latency"; }
+  explicit DomainAdapter(const Domain& d) : d_(d) {}
+
+  std::string domain() const override { return d_.name; }
+  std::string objective() const override { return d_.objective; }
 
   std::vector<ParamSpec> params() const override {
-    return {
-        {"eco.machines", {8.0, 16.0, 32.0}, {}},
-        {"eco.provisioning_delay", {15.0, 45.0, 120.0}, {}},
-        {"eco.autoscaler", {0.0, 1.0, 2.0}, {"React", "Hist", "Token"}},
-        {"eco.policy", {0.0, 1.0, 2.0}, {"FCFS", "EASY-BF", "SJF"}},
-        fault_rate_param(),
-    };
+    auto params = d_.params;
+    // faults.rate: events per 1000 simulated seconds. Option 0 (the one
+    // every committed non-chaos spec pins) runs with no plan at all.
+    if (d_.faults) params.push_back({"faults.rate", {0.0, 8.0, 40.0}, {}});
+    // workload.scenario: option 0 ("synthetic", pinned by every committed
+    // non-scenario spec) keeps the domain's built-in generator; option 1
+    // replays the catalog scenario through the engine's trace-driven
+    // arrival seam. It comes after faults.rate, so adding it left every
+    // earlier index, and so every fault-plan seed, unchanged.
+    if (d_.scenario != nullptr)
+      params.push_back(categorical("workload.scenario",
+                                   {"synthetic", d_.scenario->name}));
+    return params;
   }
 
   TrialResult run(const std::vector<double>& v, std::uint64_t seed,
                   double scale) const override {
-    static const char* const kAutoscalers[] = {"React", "Hist", "Token"};
-    static const char* const kPolicies[] = {"FCFS", "EASY-BF", "SJF"};
-
-    eco::EcosystemSpec spec;
-    spec.horizon = std::max(900.0, 3'600.0 * scale);
-    spec.fabric.machines = static_cast<std::uint32_t>(v[0]);
-    spec.fabric.cores_per_machine = 8;
-    spec.fabric.provisioning_delay = v[1];
-
-    spec.serverless.enabled = true;
-    spec.serverless.backing = eco::ServerlessBacking::kCluster;
-    spec.serverless.instance_cores = 1;
-    spec.serverless.registry = {{"api", 0.08, 0.9, 128.0},
-                                {"etl", 0.5, 1.8, 512.0}};
-    spec.serverless.config.keep_alive = 120.0;
-    spec.serverless.config.prewarmed = 0;
-    stats::Rng faas_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-    spec.serverless.invocations = serverless::bursty_invocations(
-        spec.serverless.registry.size(), 1.0, 0.8 * spec.horizon, 240.0,
-        scaled(24, scale, 4), faas_rng);
-
-    spec.mmog.enabled = true;
-    spec.mmog.provisioning = eco::ZoneProvisioning::kAutoscaled;
-    spec.mmog.autoscaler = kAutoscalers[static_cast<std::size_t>(v[2])];
-    spec.mmog.avatars_per_machine = 32;
-    spec.mmog.report_interval = 30.0;
-    spec.mmog.initial_machines = 1;
-    spec.mmog.config.zones = 6;
-    spec.mmog.config.crossing_time = 5.0;
-    spec.mmog.config.act_mean = 25.0;
-    spec.mmog.config.migrate_prob = 0.1;
-    spec.mmog.config.session_mean = 0.5 * spec.horizon;
-    spec.mmog.config.seed = seed;
-    spec.mmog.arrivals = mmog::synthetic_zone_arrivals(
-        scaled(300, scale, 32), spec.mmog.config.zones, 0.6 * spec.horizon,
-        seed);
-
-    spec.dags.enabled = true;
-    spec.dags.scheduling = eco::DagScheduling::kSharedFabric;
-    spec.dags.policy = kPolicies[static_cast<std::size_t>(v[3])];
-    workflow::WorkloadSpec jobs;
-    jobs.cls = workflow::WorkloadClass::kSynthetic;
-    jobs.jobs = scaled(24, scale, 4);
-    jobs.horizon = 0.5 * spec.horizon;
-    jobs.seed = seed ^ 0xda3e39cb94b95bdbULL;
-    spec.dags.workload = workflow::generate(jobs);
-
-    fault::FaultPlan plan;
-    if (v[4] > 0.0) {
-      fault::FaultSpec fspec;
-      fspec.rate = v[4];
-      fspec.horizon = spec.horizon;
-      fspec.seed = fault_plan_seed(v, 4);
-      fspec.targets = spec.fabric.machines;
-      fspec.mean_duration = 60.0;
-      fspec.kinds = {fault::FaultKind::kMachineCrash};
-      plan = fault::FaultPlan::generate(fspec);
-      spec.faults = &plan;
-    }
-
-    const eco::EcosystemResult r = eco::run_ecosystem(spec);
-
-    TrialResult out;
-    out.objective = r.faas.p95_latency;
-    out.metrics = {
-        {"faas_p95_latency", r.faas.p95_latency},
-        {"faas_p50_latency", r.faas.p50_latency},
-        {"faas_cold_fraction", r.faas.cold_fraction},
-        {"faas_failed", static_cast<double>(r.faas.failed_invocations)},
-        {"faas_denials", static_cast<double>(r.fabric.faas_denials)},
-        {"zones_residents", static_cast<double>(r.zones.residents)},
-        {"zones_queued_logins", static_cast<double>(r.zones.queued_logins)},
-        {"dags_mean_wait", r.dags.mean_wait},
-        {"dags_mean_slowdown", r.dags.mean_slowdown},
-        {"dags_tasks_requeued", static_cast<double>(r.dags.tasks_requeued)},
-        {"fabric_machine_leases", static_cast<double>(r.fabric.machine_leases)},
-        {"fabric_autoscale_decisions",
-         static_cast<double>(r.fabric.autoscale_decisions)},
-        {"fabric_peak_cores_leased",
-         static_cast<double>(r.fabric.peak_cores_leased)},
-        {"fabric_crashes", static_cast<double>(r.fabric.crashes)},
-    };
-    out.digest = r.faas.latency_digest.serialize();
-    return out;
+    const std::size_t own = d_.params.size();
+    const bool replay =
+        d_.scenario != nullptr && v[own + (d_.faults ? 1 : 0)] > 0.5;
+    return d_.run({v, seed, scale, d_.params, d_.faults ? v[own] : 0.0,
+                   replay ? d_.scenario : nullptr});
   }
+
+ private:
+  const Domain& d_;
 };
 
 }  // namespace
 
-std::unique_ptr<SimulatorAdapter> make_portfolio_adapter() {
-  return std::make_unique<PortfolioAdapter>();
-}
-std::unique_ptr<SimulatorAdapter> make_serverless_adapter() {
-  return std::make_unique<ServerlessAdapter>();
-}
-std::unique_ptr<SimulatorAdapter> make_autoscale_adapter() {
-  return std::make_unique<AutoscaleAdapter>();
-}
-std::unique_ptr<SimulatorAdapter> make_p2p_adapter() {
-  return std::make_unique<P2pAdapter>();
-}
-std::unique_ptr<SimulatorAdapter> make_graph_adapter() {
-  return std::make_unique<GraphAdapter>();
-}
-std::unique_ptr<SimulatorAdapter> make_eco_adapter() {
-  return std::make_unique<EcoAdapter>();
-}
-
 std::vector<std::string> adapter_domains() {
-  return {"portfolio", "serverless", "autoscale", "p2p", "graph", "eco"};
+  std::vector<std::string> names;
+  for (const auto& d : domain_table()) names.push_back(d.name);
+  return names;
 }
 
 std::unique_ptr<SimulatorAdapter> make_adapter(const std::string& domain) {
-  if (domain == "portfolio") return make_portfolio_adapter();
-  if (domain == "serverless") return make_serverless_adapter();
-  if (domain == "autoscale") return make_autoscale_adapter();
-  if (domain == "p2p") return make_p2p_adapter();
-  if (domain == "graph") return make_graph_adapter();
-  if (domain == "eco") return make_eco_adapter();
+  for (const auto& d : domain_table())
+    if (d.name == domain) return std::make_unique<DomainAdapter>(d);
   std::string known;
   for (const auto& d : adapter_domains()) {
     if (!known.empty()) known += ", ";

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "atlarge/exp/adapters.hpp"
+#include "atlarge/exp/adapter.hpp"
 #include "atlarge/exp/engine.hpp"
 #include "atlarge/obs/observability.hpp"
 #include "golden_util.hpp"

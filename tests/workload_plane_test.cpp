@@ -12,7 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include "atlarge/exp/adapters.hpp"
+#include "atlarge/exp/adapter.hpp"
 #include "atlarge/exp/campaign.hpp"
 #include "atlarge/exp/engine.hpp"
 #include "atlarge/exp/runner.hpp"
