@@ -71,7 +71,9 @@ class ThreadPool {
 
   /// Runs fn(i) for every i in [0, n), spread across the pool; the calling
   /// thread participates. Blocks until all n invocations returned. fn must
-  /// be safe to invoke concurrently from distinct threads.
+  /// be safe to invoke concurrently from distinct threads. If fn throws,
+  /// no lane claims another index; once every lane has stopped, the first
+  /// exception caught is rethrown on the calling thread.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

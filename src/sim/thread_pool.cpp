@@ -1,6 +1,7 @@
 #include "atlarge/sim/thread_pool.hpp"
 
 #include <atomic>
+#include <exception>
 
 namespace atlarge::sim {
 
@@ -104,6 +105,7 @@ void ThreadPool::parallel_for(std::size_t n,
     std::mutex m;
     std::condition_variable done;
     std::size_t remaining = 0;
+    std::exception_ptr error;  // the first exception any lane caught
   };
   auto shared = std::make_shared<Shared>();
   shared->remaining = fanout;
@@ -111,11 +113,18 @@ void ThreadPool::parallel_for(std::size_t n,
   // fn and n outlive the join below, so the body may capture them by
   // reference; `shared` keeps the latch alive for stragglers.
   auto body = [shared, &fn, n] {
-    for (std::size_t i = shared->next.fetch_add(1); i < n;
-         i = shared->next.fetch_add(1)) {
-      fn(i);
+    std::exception_ptr error;
+    try {
+      for (std::size_t i = shared->next.fetch_add(1); i < n;
+           i = shared->next.fetch_add(1)) {
+        fn(i);
+      }
+    } catch (...) {
+      error = std::current_exception();
+      shared->next.store(n);  // no lane claims another index
     }
     std::lock_guard<std::mutex> lock(shared->m);
+    if (error && !shared->error) shared->error = error;
     if (--shared->remaining == 0) shared->done.notify_all();
   };
 
@@ -124,6 +133,7 @@ void ThreadPool::parallel_for(std::size_t n,
 
   std::unique_lock<std::mutex> lock(shared->m);
   shared->done.wait(lock, [&] { return shared->remaining == 0; });
+  if (shared->error) std::rethrow_exception(shared->error);
 }
 
 }  // namespace atlarge::sim

@@ -3,9 +3,11 @@
 // certify the pool's synchronization.
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -27,6 +29,42 @@ TEST(ThreadPool, ParallelForCoversEachIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(kN);
   pool.parallel_for(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ThreadPool, ParallelForRethrowsOnCaller) {
+  sim::ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  // n == pool size and no fn(i) passes the rendezvous before all four have
+  // started, so each lane runs exactly one index. One of them throws: first
+  // on a worker lane, then on the calling thread's own lane.
+  for (const bool on_caller : {false, true}) {
+    SCOPED_TRACE(on_caller ? "caller lane throws" : "worker lane throws");
+    std::atomic<int> started{0};
+    std::atomic<int> returned{0};
+    std::atomic<bool> thrown{false};
+    EXPECT_THROW(pool.parallel_for(4,
+                                   [&](std::size_t) {
+                                     started.fetch_add(1);
+                                     while (started.load() < 4)
+                                       std::this_thread::yield();
+                                     const bool mine =
+                                         std::this_thread::get_id() == caller;
+                                     if (mine == on_caller &&
+                                         !thrown.exchange(true))
+                                       throw std::runtime_error("lane");
+                                     std::this_thread::sleep_for(
+                                         std::chrono::milliseconds(20));
+                                     returned.fetch_add(1);
+                                   }),
+                 std::runtime_error);
+    // Every other lane finished before the exception reached the caller.
+    EXPECT_EQ(returned.load(), 3);
+  }
+  // The pool survives: a second loop visits every index exactly once.
+  std::vector<std::atomic<int>> hits(1'000);
+  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ThreadPool, ParallelForRunsInlineOnSizeOnePool) {
