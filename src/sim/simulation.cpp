@@ -91,8 +91,8 @@ void Simulation::release_slot(std::uint32_t slot) noexcept {
 
 Simulation::QueueRecord Simulation::pack(Time time,
                                          std::uint64_t seq_slot) noexcept {
-  // Valid because time >= 0 (clamped in schedule_at): the IEEE-754 bit
-  // pattern of a non-negative double is monotone in its value.
+  // Valid because schedule_slot clamps every time to >= now_ >= +0.0: the
+  // IEEE-754 bit pattern of a non-negative double is monotone in its value.
   return (static_cast<QueueRecord>(std::bit_cast<std::uint64_t>(time)) << 64) |
          seq_slot;
 }
@@ -108,7 +108,9 @@ EventHandle Simulation::schedule_slot(Time at, std::uint32_t slot) {
   EventSlot& s = slots_[slot];
   s.live = true;
   ++live_;
-  const Time when = std::max(at, now_);
+  // Not std::max(at, now_): that keeps -0.0 and NaN, whose bit patterns
+  // sort after every positive time.
+  const Time when = at > now_ ? at : now_;
   heap_push(pack(when, (next_seq_++ << kSlotBits) | slot));
   if (observer_ != nullptr) observer_->on_schedule(when, live_);
   return EventHandle(this, slot, s.generation);

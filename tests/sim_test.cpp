@@ -1,6 +1,8 @@
 // Tests for the discrete-event simulation kernel.
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,6 +63,22 @@ TEST(Simulation, SchedulingInPastClampsToNow) {
   });
   s.run();
   EXPECT_DOUBLE_EQ(seen, 10.0);
+
+  // -0.0 and NaN clamp to now() == +0.0 as well. Kept as they are, their
+  // bit patterns would sort after every positive time.
+  sim::Simulation z;
+  std::vector<double> fired;  // now() at each event, in firing order
+  const auto record = [&] {
+    EXPECT_FALSE(std::signbit(z.now()));
+    fired.push_back(z.now());
+  };
+  z.schedule_at(5.0, record);
+  z.schedule_at(-0.0, record);
+  z.schedule_at(std::numeric_limits<double>::quiet_NaN(), record);
+  z.run();
+  EXPECT_EQ(fired, (std::vector<double>{0.0, 0.0, 5.0}));
+  EXPECT_FALSE(std::signbit(z.now()));
+  EXPECT_EQ(z.now(), 5.0);
 }
 
 TEST(Simulation, NegativeDelayClampsToZero) {
