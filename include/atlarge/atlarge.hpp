@@ -10,9 +10,9 @@
 //   atlarge::obs        - metrics registry, span tracer, kernel observer,
 //                         continuous telemetry (time series, percentile
 //                         digests, SLO burn-rate monitors, flight recorder)
-//   atlarge::trace      - trace tables, FAIR archive catalogs, and the
-//                         workload plane: .atl binary columnar traces,
-//                         seeded generators, scenario catalog + replay
+//   atlarge::trace      - trace tables (CSV) and the workload plane: .atl
+//                         binary columnar traces, seeded generators,
+//                         scenario catalog + replay
 //   atlarge::workflow   - jobs, DAGs, workload generators
 //   atlarge::cluster    - datacenter model, cost models, Figure 9 ref. arch.
 //   atlarge::sched      - scheduler zoo + portfolio scheduling (Table 9)
@@ -87,7 +87,6 @@
 #include "atlarge/stats/distributions.hpp"
 #include "atlarge/stats/rng.hpp"
 #include "atlarge/stats/violin.hpp"
-#include "atlarge/trace/archive.hpp"
 #include "atlarge/trace/atl.hpp"
 #include "atlarge/trace/catalog.hpp"
 #include "atlarge/trace/event.hpp"

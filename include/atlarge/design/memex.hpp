@@ -65,12 +65,12 @@ class ProvenanceGraph {
 };
 
 /// A Memex entry ties a designed system to its provenance and to the
-/// operational-trace datasets (by archive id) that informed or evaluated
+/// operational-trace datasets (by dataset id) that informed or evaluated
 /// it.
 struct MemexEntry {
   std::string system;             // e.g. "Tribler", "Graphalytics"
   ProvenanceGraph provenance;
-  std::vector<std::string> trace_dataset_ids;  // trace::Archive ids
+  std::vector<std::string> trace_dataset_ids;
   int first_year = 0;
   int last_year = 0;
 };

@@ -95,18 +95,25 @@ TEST(Integration, P2PEcosystemArchivedAsFairDatasets) {
   config.swarm.content_mb = 50.0;
   const auto eco = p2p::simulate_ecosystem(config);
 
-  trace::Archive archive("p2p-trace-archive");
-  for (std::size_t i = 0; i < eco.swarms.size(); ++i) {
-    trace::DatasetEntry entry;
-    entry.id = "swarm-" + std::to_string(i);
-    entry.domain = trace::Domain::kP2P;
-    entry.collector = "BTWorld-sim";
-    entry.records = eco.swarms[i].result.series.size();
-    entry.fair = {true, true, true, true, true, true};
-    EXPECT_TRUE(archive.add(std::move(entry)));
+  // Each swarm's monitor series becomes one dataset in the open,
+  // schema-checked CSV trace format, and reads back row for row.
+  const std::vector<trace::Column> schema = {
+      {"time", trace::FieldType::kReal},
+      {"seeds", trace::FieldType::kInt},
+      {"leechers", trace::FieldType::kInt},
+  };
+  for (const auto& swarm : eco.swarms) {
+    trace::Table table(schema);
+    for (const auto& sample : swarm.result.series)
+      table.append({sample.time, std::int64_t{sample.seeds},
+                    std::int64_t{sample.leechers}});
+    std::stringstream csv;
+    table.write_csv(csv);
+    const auto back = trace::Table::read_csv(csv, schema);
+    ASSERT_EQ(back.rows(), swarm.result.series.size());
+    EXPECT_EQ(back.numeric_column("leechers"),
+              table.numeric_column("leechers"));
   }
-  EXPECT_EQ(archive.size(), eco.swarms.size());
-  EXPECT_DOUBLE_EQ(archive.mean_fair_score(), 1.0);
 }
 
 TEST(Integration, BdcDrivesDesignSpaceExploration) {

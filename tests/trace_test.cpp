@@ -1,6 +1,5 @@
-// Tests for trace tables, FAIR archive catalogs, and the .atl binary
-// columnar trace format (round-trips, truncation vs corruption, bounded
-// reader residency).
+// Tests for trace tables and the .atl binary columnar trace format
+// (round-trips, truncation vs corruption, bounded reader residency).
 
 #include <cmath>
 #include <cstdio>
@@ -12,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "atlarge/trace/archive.hpp"
 #include "atlarge/trace/atl.hpp"
 #include "atlarge/trace/record.hpp"
 
@@ -103,83 +101,6 @@ TEST(Table, ReadCsvSkipsBlankLines) {
   std::stringstream buffer("job_id,runtime,user\n1,1.0,x\n\n2,2.0,y\n");
   const auto t = trace::Table::read_csv(buffer, job_schema());
   EXPECT_EQ(t.rows(), 2u);
-}
-
-// ---------------------------------------------------------------- Archive --
-
-TEST(Fair, ScoreCountsSatisfiedCriteria) {
-  trace::FairAssessment fair;
-  EXPECT_DOUBLE_EQ(fair.score(), 0.0);
-  fair.findable_identifier = true;
-  fair.findable_metadata = true;
-  fair.accessible_protocol = true;
-  EXPECT_DOUBLE_EQ(fair.score(), 0.5);
-  fair.interoperable_format = true;
-  fair.reusable_license = true;
-  fair.reusable_provenance = true;
-  EXPECT_DOUBLE_EQ(fair.score(), 1.0);
-}
-
-TEST(Archive, AddRejectsDuplicateIds) {
-  trace::Archive archive("p2p-trace-archive");
-  EXPECT_TRUE(archive.add({.id = "d1", .title = "one"}));
-  EXPECT_FALSE(archive.add({.id = "d1", .title = "dup"}));
-  EXPECT_EQ(archive.size(), 1u);
-}
-
-TEST(Archive, FindById) {
-  trace::Archive archive("gta");
-  archive.add({.id = "g1", .title = "runescape traces"});
-  const auto found = archive.find("g1");
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(found->title, "runescape traces");
-  EXPECT_FALSE(archive.find("missing").has_value());
-}
-
-TEST(Archive, FilterByDomain) {
-  trace::Archive archive("a");
-  archive.add({.id = "1", .domain = trace::Domain::kP2P});
-  archive.add({.id = "2", .domain = trace::Domain::kGaming});
-  archive.add({.id = "3", .domain = trace::Domain::kP2P});
-  EXPECT_EQ(archive.by_domain(trace::Domain::kP2P).size(), 2u);
-  EXPECT_EQ(archive.by_domain(trace::Domain::kServerless).size(), 0u);
-}
-
-TEST(Archive, FilterByKeyword) {
-  trace::Archive archive("a");
-  trace::DatasetEntry e;
-  e.id = "1";
-  e.keywords = {"bittorrent", "flashcrowd"};
-  archive.add(e);
-  EXPECT_EQ(archive.by_keyword("flashcrowd").size(), 1u);
-  EXPECT_EQ(archive.by_keyword("mmog").size(), 0u);
-}
-
-TEST(Archive, MeanFairScore) {
-  trace::Archive archive("a");
-  trace::DatasetEntry good;
-  good.id = "good";
-  good.fair = {true, true, true, true, true, true};
-  trace::DatasetEntry poor;
-  poor.id = "poor";
-  archive.add(good);
-  archive.add(poor);
-  EXPECT_DOUBLE_EQ(archive.mean_fair_score(), 0.5);
-}
-
-TEST(Archive, EmptyMeanIsZero) {
-  trace::Archive archive("a");
-  EXPECT_DOUBLE_EQ(archive.mean_fair_score(), 0.0);
-}
-
-TEST(Domain, ToStringCoversAll) {
-  EXPECT_EQ(trace::to_string(trace::Domain::kP2P), "p2p");
-  EXPECT_EQ(trace::to_string(trace::Domain::kGaming), "gaming");
-  EXPECT_EQ(trace::to_string(trace::Domain::kDatacenter), "datacenter");
-  EXPECT_EQ(trace::to_string(trace::Domain::kServerless), "serverless");
-  EXPECT_EQ(trace::to_string(trace::Domain::kGraph), "graph");
-  EXPECT_EQ(trace::to_string(trace::Domain::kWorkflow), "workflow");
-  EXPECT_EQ(trace::to_string(trace::Domain::kOther), "other");
 }
 
 // ------------------------------------------------------- CSV robustness --
