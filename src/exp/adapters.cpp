@@ -315,7 +315,7 @@ TrialResult run_autoscale(const Trial& t) {
   wspec.jobs = scaled(28, t.scale, 6);
   wspec.horizon = 6'000.0 * t.scale + 600.0;
   wspec.seed = t.seed;
-  const auto workload = t.jobs(wspec);
+  auto workload = t.jobs(wspec);
 
   auto zoo = autoscale::standard_autoscalers();
   const auto idx = static_cast<std::size_t>(v[0]);
@@ -324,6 +324,10 @@ TrialResult run_autoscale(const Trial& t) {
 
   autoscale::ElasticConfig config;
   config.cores_per_machine = static_cast<std::uint32_t>(v[1]);
+  if (t.scenario != nullptr)
+    for (auto& job : workload.jobs)
+      for (auto& task : job.tasks)
+        task.cores = std::min(task.cores, config.cores_per_machine);
   config.max_machines = 48;
   config.provisioning_delay = v[2];
   config.interval = v[3];
@@ -581,6 +585,9 @@ const std::vector<Domain>& domain_table() {
         {"prewarmed", {0.0, 2.0, 8.0}, {}},
         {"max_instances", {32.0, 128.0, 512.0}, {}}},
        true, named_scenario("feed-fanout"), run_serverless},
+      // Replayed sessions ask for 1-4 cores; the autoscale run caps each
+      // task at cores_per_machine. That changes only the points that
+      // used to throw "task wider than one machine" (2-core machines).
       {"autoscale", "mean_slowdown",
        {categorical("autoscaler", autoscaler_names()),
         {"cores_per_machine", {2.0, 4.0, 8.0}, {}},

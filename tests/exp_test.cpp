@@ -557,7 +557,10 @@ TEST(Adapters, AllDomainsRunDeterministicTrials) {
     EXPECT_EQ(adapter->domain(), domain);
     const auto params = adapter->params();
     ASSERT_GE(params.size(), 3u) << "campaign space too small";
-    std::vector<double> lo, hi;
+    // lo, hi: every dimension at its first / last option. replay: lo, but
+    // replaying the domain's catalog scenario where it has one — the
+    // narrowest machine shape must still fit every replayed task.
+    std::vector<double> lo, hi, replay;
     for (const auto& param : params) {
       ASSERT_FALSE(param.values.empty());
       if (param.categorical()) {
@@ -565,6 +568,8 @@ TEST(Adapters, AllDomainsRunDeterministicTrials) {
       }
       lo.push_back(param.values.front());
       hi.push_back(param.values.back());
+      replay.push_back(param.name == "workload.scenario" ? param.values.back()
+                                                         : lo.back());
     }
     const auto once = adapter->run(lo, 77, 0.05);
     const auto again = adapter->run(lo, 77, 0.05);
@@ -578,6 +583,12 @@ TEST(Adapters, AllDomainsRunDeterministicTrials) {
     ASSERT_EQ(other.metrics.size(), once.metrics.size());
     for (std::size_t i = 0; i < once.metrics.size(); ++i)
       EXPECT_EQ(other.metrics[i].first, once.metrics[i].first);
+    const auto replayed = adapter->run(replay, 79, 0.05);
+    EXPECT_TRUE(std::isfinite(replayed.objective));
+    EXPECT_EQ(replayed.objective, adapter->run(replay, 79, 0.05).objective);
+    ASSERT_EQ(replayed.metrics.size(), once.metrics.size());
+    for (std::size_t i = 0; i < once.metrics.size(); ++i)
+      EXPECT_EQ(replayed.metrics[i].first, once.metrics[i].first);
     // The declared objective appears among the metrics.
     bool found = false;
     for (const auto& [name, value] : once.metrics)
