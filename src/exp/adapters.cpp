@@ -585,9 +585,10 @@ const std::vector<Domain>& domain_table() {
         {"prewarmed", {0.0, 2.0, 8.0}, {}},
         {"max_instances", {32.0, 128.0, 512.0}, {}}},
        true, named_scenario("feed-fanout"), run_serverless},
-      // Replayed sessions ask for 1-4 cores; the autoscale run caps each
-      // task at cores_per_machine. That changes only the points that
-      // used to throw "task wider than one machine" (2-core machines).
+      // Replayed sessions ask for 1-4 cores; run_autoscale caps each
+      // replayed task at cores_per_machine. The cap only bites on 2-core
+      // machines, the points run_elastic would otherwise reject with
+      // "task wider than one machine".
       {"autoscale", "mean_slowdown",
        {categorical("autoscaler", autoscaler_names()),
         {"cores_per_machine", {2.0, 4.0, 8.0}, {}},
@@ -632,8 +633,8 @@ class DomainAdapter final : public SimulatorAdapter {
     // workload.scenario: option 0 ("synthetic", pinned by every committed
     // non-scenario spec) keeps the domain's built-in generator; option 1
     // replays the catalog scenario through the engine's trace-driven
-    // arrival seam. It comes after faults.rate, so adding it left every
-    // earlier index, and so every fault-plan seed, unchanged.
+    // arrival seam. The order own knobs, faults.rate, workload.scenario
+    // feeds every fault-plan seed, so it is fixed.
     if (d_.scenario != nullptr)
       params.push_back(categorical("workload.scenario",
                                    {"synthetic", d_.scenario->name}));
@@ -665,9 +666,9 @@ std::unique_ptr<SimulatorAdapter> make_adapter(const std::string& domain) {
   for (const auto& d : domain_table())
     if (d.name == domain) return std::make_unique<DomainAdapter>(d);
   std::string known;
-  for (const auto& d : adapter_domains()) {
+  for (const auto& d : domain_table()) {
     if (!known.empty()) known += ", ";
-    known += d;
+    known += d.name;
   }
   throw std::invalid_argument("unknown campaign domain '" + domain +
                               "' (known: " + known + ")");
