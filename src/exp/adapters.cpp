@@ -478,13 +478,11 @@ TrialResult run_graph(const Trial& t) {
 /// campaigns measure cross-domain interference, not a simulator in
 /// isolation. Objective: serverless p95 latency under co-tenancy.
 TrialResult run_eco(const Trial& t) {
-  const auto& v = t.v;
-
   eco::EcosystemSpec spec;
   spec.horizon = std::max(900.0, 3'600.0 * t.scale);
-  spec.fabric.machines = static_cast<std::uint32_t>(v[0]);
+  spec.fabric.machines = static_cast<std::uint32_t>(t.v[0]);
   spec.fabric.cores_per_machine = 8;
-  spec.fabric.provisioning_delay = v[1];
+  spec.fabric.provisioning_delay = t.v[1];
 
   spec.serverless.enabled = true;
   spec.serverless.backing = eco::ServerlessBacking::kCluster;

@@ -42,21 +42,16 @@ TEST(ThreadPool, ParallelForRethrowsOnCaller) {
     std::atomic<int> started{0};
     std::atomic<int> returned{0};
     std::atomic<bool> thrown{false};
-    EXPECT_THROW(pool.parallel_for(4,
-                                   [&](std::size_t) {
-                                     started.fetch_add(1);
-                                     while (started.load() < 4)
-                                       std::this_thread::yield();
-                                     const bool mine =
-                                         std::this_thread::get_id() == caller;
-                                     if (mine == on_caller &&
-                                         !thrown.exchange(true))
-                                       throw std::runtime_error("lane");
-                                     std::this_thread::sleep_for(
-                                         std::chrono::milliseconds(20));
-                                     returned.fetch_add(1);
-                                   }),
-                 std::runtime_error);
+    const auto fn = [&](std::size_t) {
+      started.fetch_add(1);
+      while (started.load() < 4) std::this_thread::yield();
+      const bool mine = std::this_thread::get_id() == caller;
+      if (mine == on_caller && !thrown.exchange(true))
+        throw std::runtime_error("lane");
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      returned.fetch_add(1);
+    };
+    EXPECT_THROW(pool.parallel_for(4, fn), std::runtime_error);
     // Every other lane finished before the exception reached the caller.
     EXPECT_EQ(returned.load(), 3);
   }
