@@ -41,11 +41,11 @@ struct SwarmConfig {
   std::uint64_t seed = 1;
   /// Optional instrumentation plane (not owned, may be null): wraps the
   /// run in a "p2p.swarm" span, tracks seed/leecher census gauges, counts
-  /// finished/aborted peers, and records a download-time histogram plus a
-  /// "p2p.download_time" registry digest. (The fluid model is not a DES,
-  /// so no kernel observer or sampling hook is attached; instead
-  /// Observability::sample_now is driven manually at each epoch boundary,
-  /// so TimeSeries and SloMonitor planes still work.)
+  /// finished/aborted peers, and records a "p2p.download_time" registry
+  /// digest. (The fluid model is not a DES, so no kernel observer or
+  /// sampling hook is attached; instead Observability::sample_now is
+  /// driven manually at each epoch boundary, so TimeSeries and SloMonitor
+  /// planes still work.)
   obs::Observability* obs = nullptr;
   /// Optional fault plan (not owned, may be null). The swarm interprets
   /// kChurnSpike: at the event's time, floor(magnitude x leechers) of the

@@ -44,11 +44,11 @@ struct PlatformConfig {
   /// Optional instrumentation plane (not owned, may be null): attaches
   /// the kernel observer, wraps the run in a "faas.run" span, marks cold
   /// starts and queueing as instants, and records invocation counters,
-  /// a live-instances gauge, a latency histogram, and a "faas.latency"
-  /// registry digest. When the plane carries a TimeSeries or SloMonitor,
-  /// its sampling hook is attached to the kernel; when it carries a
-  /// FlightRecorder, per-function rings record invoke/cold_start/queue/
-  /// fail events with causal links.
+  /// a live-instances gauge, and a "faas.latency" registry digest. When
+  /// the plane carries a TimeSeries or SloMonitor, its sampling hook is
+  /// attached to the kernel; when it carries a FlightRecorder,
+  /// per-function rings record invoke/cold_start/queue/fail events with
+  /// causal links.
   obs::Observability* obs = nullptr;
   /// Optional fault plan (not owned, may be null), replayed through the
   /// kernel fault hook. The platform interprets kMessageLoss (requests

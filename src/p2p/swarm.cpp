@@ -44,7 +44,6 @@ SwarmResult simulate_swarm(const SwarmConfig& config,
   obs::Counter* aborted_ctr = nullptr;
   obs::Gauge* seeds_gauge = nullptr;
   obs::Gauge* leechers_gauge = nullptr;
-  obs::Histogram* dl_hist = nullptr;
   obs::Digest* dl_dig = nullptr;
   double last_now = 0.0;
   if (plane != nullptr) {
@@ -52,7 +51,6 @@ SwarmResult simulate_swarm(const SwarmConfig& config,
     aborted_ctr = &plane->metrics.counter("p2p.aborted");
     seeds_gauge = &plane->metrics.gauge("p2p.seeds");
     leechers_gauge = &plane->metrics.gauge("p2p.leechers");
-    dl_hist = &plane->metrics.histogram("p2p.download_time");
     dl_dig = &plane->metrics.digest("p2p.download_time");
     plane->tracer.begin("p2p.swarm", "p2p", 0.0);
   }
@@ -174,7 +172,6 @@ SwarmResult simulate_swarm(const SwarmConfig& config,
             ++result.finished;
             if (plane != nullptr) {
               finished_ctr->add(1);
-              dl_hist->observe(out.download_time());
               dl_dig->add(out.download_time());
             }
           }

@@ -84,7 +84,6 @@ class SchedEngine {
       passes_ = &obs_->metrics.counter("sched.passes");
       placed_ = &obs_->metrics.counter("sched.tasks_placed");
       queue_depth_ = &obs_->metrics.gauge("sched.eligible_queue");
-      wait_hist_ = &obs_->metrics.histogram("sched.task_wait");
       wait_dig_ = &obs_->metrics.digest("sched.task_wait");
       flight_ = obs_->flight();
     }
@@ -482,9 +481,7 @@ class SchedEngine {
 
     if (obs_ != nullptr) {
       placed_->add(1);
-      const double wait = sim_.now() - js.tasks[ti].eligible_time;
-      wait_hist_->observe(wait);
-      wait_dig_->add(wait);
+      wait_dig_->add(sim_.now() - js.tasks[ti].eligible_time);
     }
     machines_[mi].free -= ref.cores;
     observe_busy();
@@ -603,7 +600,6 @@ class SchedEngine {
   obs::Counter* passes_ = nullptr;
   obs::Counter* placed_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;
-  obs::Histogram* wait_hist_ = nullptr;
   obs::Digest* wait_dig_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   std::vector<std::size_t> flight_entity_;  // per-machine ring ids

@@ -72,7 +72,6 @@ class FaasEngine {
       failed_ = &obs_->metrics.counter("faas.failed");
       requests_ = &obs_->metrics.counter("faas.requests");
       live_gauge_ = &obs_->metrics.gauge("faas.live_instances");
-      latency_hist_ = &obs_->metrics.histogram("faas.latency");
       latency_dig_ = &obs_->metrics.digest("faas.latency");
       flight_ = obs_->flight();
       if (flight_ != nullptr) {
@@ -411,7 +410,6 @@ class FaasEngine {
     stats.attempts = reqs_[i].attempts == 0 ? 1 : reqs_[i].attempts;
     if (obs_ != nullptr) {
       started_->add(1);
-      latency_hist_->observe(stats.latency());
       latency_dig_->add(stats.latency());
       if (cold) {
         cold_starts_->add(1);
@@ -588,7 +586,6 @@ class FaasEngine {
   obs::Counter* failed_ = nullptr;
   obs::Counter* requests_ = nullptr;
   obs::Gauge* live_gauge_ = nullptr;
-  obs::Histogram* latency_hist_ = nullptr;
   obs::Digest* latency_dig_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   std::vector<std::size_t> flight_entity_;  // per-function ring ids

@@ -344,7 +344,7 @@ TEST(Observability, SwarmEmitsCensusAndDownloadTelemetry) {
   const auto& counters = plane.metrics.counters();
   EXPECT_EQ(counters.at("p2p.finished").value(), result.finished);
   EXPECT_EQ(counters.at("p2p.aborted").value(), result.aborted);
-  EXPECT_EQ(plane.metrics.histograms().at("p2p.download_time").count(),
+  EXPECT_EQ(plane.metrics.digests().at("p2p.download_time").count(),
             result.finished);
 
   bool saw_swarm = false;

@@ -521,7 +521,7 @@ TEST(Observability, SimulateEmitsKernelAndSchedulerTelemetry) {
   // The engine pre-sizes its kernel for the workload's concurrent-event
   // ceiling, so the whole run never touches the system allocator.
   EXPECT_EQ(counters.at("sim.alloc_events").value(), 0.0);
-  EXPECT_EQ(plane.metrics.histograms().at("sched.task_wait").count(),
+  EXPECT_EQ(plane.metrics.digests().at("sched.task_wait").count(),
             result.tasks_completed);
 
   // The trace mixes kernel-layer and scheduler-layer spans.

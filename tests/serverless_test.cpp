@@ -282,7 +282,7 @@ TEST(Observability, PlatformEmitsFaasTelemetry) {
   EXPECT_EQ(counters.at("faas.invocations").value(),
             result.invocations.size());
   EXPECT_EQ(counters.at("faas.cold_starts").value(), cold);
-  EXPECT_EQ(plane.metrics.histograms().at("faas.latency").count(),
+  EXPECT_EQ(plane.metrics.digests().at("faas.latency").count(),
             result.invocations.size());
 
   bool saw_kernel = false;
