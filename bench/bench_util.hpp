@@ -21,18 +21,6 @@ inline void note(const std::string& text) {
   std::printf("-- %s\n", text.c_str());
 }
 
-/// Output path of a `--trace <file>` / `--trace=<file>` flag, or "" when
-/// absent. Harnesses that support it re-run one representative experiment
-/// with an obs::Observability attached and export a Chrome trace there.
-inline std::string trace_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) return argv[i] + 8;
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
-      return argv[i + 1];
-  }
-  return "";
-}
-
 /// Writes `text` to `path`, exiting with a message on I/O failure. Used by
 /// the `--metrics-out` exporters (the TimeSeries/FlightRecorder classes
 /// have their own write_* helpers).

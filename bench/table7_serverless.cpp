@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
   const double fault_rate = bench::double_flag(argc, argv, "--faults", 0.0);
   if (fault_rate > 0.0)
     study_faults(fault_rate, bench::u64_flag(argc, argv, "--fault-seed", 1));
-  const std::string trace = bench::trace_flag(argc, argv);
+  const std::string trace = bench::flag_value(argc, argv, "--trace");
   const std::string metrics = bench::flag_value(argc, argv, "--metrics-out");
   const std::string series = bench::flag_value(argc, argv, "--timeseries-out");
   const std::string flight = bench::flag_value(argc, argv, "--flight-out");

@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
   table9();
   online_cost_arc();
   misselection();
-  const std::string trace = bench::trace_flag(argc, argv);
+  const std::string trace = bench::flag_value(argc, argv, "--trace");
   const std::string metrics = bench::flag_value(argc, argv, "--metrics-out");
   const std::string series = bench::flag_value(argc, argv, "--timeseries-out");
   if (!trace.empty() || !metrics.empty() || !series.empty())

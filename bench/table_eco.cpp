@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   study_composition();
-  const std::string trace = bench::trace_flag(argc, argv);
+  const std::string trace = bench::flag_value(argc, argv, "--trace");
   const std::string metrics = bench::flag_value(argc, argv, "--metrics-out");
   if (!trace.empty() || !metrics.empty()) instrumented_run(trace, metrics);
   return 0;

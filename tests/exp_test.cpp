@@ -738,8 +738,9 @@ TEST(CampaignEndToEnd, FaultRateSweepGradesTrialsAndMergesDigests) {
     for (const auto& [name, value] : point.mean_metrics)
       if (name == "slo_pass") mean_pass = value;
     ASSERT_GE(mean_pass, 0.0);
-    if (point.values[rate_idx] == 0.0)
+    if (point.values[rate_idx] == 0.0) {
       EXPECT_EQ(mean_pass, 1.0) << "fault-free trials may not burn budget";
+    }
   }
   EXPECT_EQ(merged_total, digest_total);
   const auto json = exp::aggregate_json(outcome.aggregate);

@@ -116,8 +116,9 @@ TEST(Generators, SessionDurationsRespectTailCaps) {
       ++starts;
       EXPECT_LE(e.size, 120'000) << "duration cap (ms)";
     }
-    if (e.kind == static_cast<std::int64_t>(trace::EventKind::kSessionEnd))
+    if (e.kind == static_cast<std::int64_t>(trace::EventKind::kSessionEnd)) {
       EXPECT_LE(e.size, 8) << "request cap";
+    }
   }
   EXPECT_GT(starts, 100u);  // ~3000 expected sessions
 }
