@@ -58,7 +58,7 @@ void BM_AtlWrite(benchmark::State& state) {
   const std::string path = bench_path("write");
   std::uint64_t bytes = 0;
   for (auto _ : state) {
-    trace::TraceWriter writer(path, trace::event_schema());
+    trace::TraceWriter writer(path);
     for (std::size_t i = 0; i < n; ++i) writer.append(events[i]);
     writer.finish();
     bytes = writer.bytes_written();
@@ -75,7 +75,7 @@ void BM_AtlRead(benchmark::State& state) {
   const std::string path = bench_path("read");
   std::uint64_t bytes = 0;
   {
-    trace::TraceWriter writer(path, trace::event_schema());
+    trace::TraceWriter writer(path);
     for (std::size_t i = 0; i < n; ++i) writer.append(events[i]);
     writer.finish();
     bytes = writer.bytes_written();
@@ -101,7 +101,7 @@ void BM_AtlEventStream(benchmark::State& state) {
   const auto& events = sample_events(n);
   const std::string path = bench_path("stream");
   {
-    trace::TraceWriter writer(path, trace::event_schema());
+    trace::TraceWriter writer(path);
     for (std::size_t i = 0; i < n; ++i) writer.append(events[i]);
     writer.finish();
   }

@@ -10,9 +10,9 @@
 //   atlarge::obs        - metrics registry, span tracer, kernel observer,
 //                         continuous telemetry (time series, percentile
 //                         digests, SLO burn-rate monitors, flight recorder)
-//   atlarge::trace      - trace tables (CSV) and the workload plane: .atl
-//                         binary columnar traces, seeded generators,
-//                         scenario catalog + replay
+//   atlarge::trace      - the workload plane: five-int workload events,
+//                         .atl binary columnar event traces, seeded
+//                         generators, scenario catalog + replay
 //   atlarge::workflow   - jobs, DAGs, workload generators
 //   atlarge::cluster    - datacenter model, cost models, Figure 9 ref. arch.
 //   atlarge::sched      - scheduler zoo + portfolio scheduling (Table 9)
@@ -91,7 +91,6 @@
 #include "atlarge/trace/catalog.hpp"
 #include "atlarge/trace/event.hpp"
 #include "atlarge/trace/gen.hpp"
-#include "atlarge/trace/record.hpp"
 #include "atlarge/workflow/generators.hpp"
 #include "atlarge/workflow/job.hpp"
 #include "atlarge/workflow/vicissitude.hpp"

@@ -11,9 +11,9 @@
 //  * DecisionRecord / ProvenanceGraph — a DAG of design decisions, each
 //    recording the alternatives considered, the rationale, and the
 //    decisions it supersedes, so a design's lineage is queryable;
-//  * Memex — a catalog pairing operational-trace datasets (reusing
-//    trace::Archive entries by id) with the provenance graphs of the
-//    designs that produced or consumed them.
+//  * Memex — a catalog pairing operational-trace datasets (referenced by
+//    id) with the provenance graphs of the designs that produced or
+//    consumed them.
 
 #include <cstdint>
 #include <optional>

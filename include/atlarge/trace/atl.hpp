@@ -1,26 +1,26 @@
 #pragma once
 // .atl: the compact binary columnar trace format of the workload plane.
 //
+// A trace stores one record type, the five-int workload Event (event.hpp).
 // Layout (all integers little-endian):
 //
 //   file   := header chunk*
 //   header := magic "ATLTRC01" (8 bytes)
 //           | u32 version (= 1)
-//           | u16 column count
-//           | column*            -- u8 type (0 int, 1 real, 2 text)
-//                                   u16 name length, name bytes
+//           | u16 column count (= 5)
+//           | column[5]          -- u8 type (0 = int), u16 name length,
+//                                   name bytes: t_us, entity, kind, size,
+//                                   region, in that order
 //   chunk  := u32 chunk magic (0x43BA715E)
 //           | u32 row count (> 0)
-//           | colblock[ncols]    -- u8 encoding
+//           | colblock[5]        -- u8 encoding (0 = int)
 //                                   varint payload length, payload bytes
 //           | u32 crc32          -- IEEE CRC-32 over row count + colblocks
 //
-// Column encodings:
-//   0  int:  zigzag(delta) varints, deltas taken modulo 2^64 — the first
-//            value is a delta from 0, so sorted id/timestamp columns
-//            shrink to ~1-2 bytes per row;
-//   1  real: raw IEEE-754 binary64, little-endian (exact round-trip);
-//   2  text: varint byte length + UTF-8 bytes per cell.
+// Every column is an int column: zigzag(delta) varints, deltas taken
+// modulo 2^64 — the first value is a delta from 0, so sorted id/timestamp
+// columns shrink to ~1-2 bytes per row. The header is fixed; the reader
+// rejects any other column count, name or type tag.
 //
 // Streaming contract: the writer buffers one chunk of rows and flushes it
 // as a self-contained, CRC-protected block; the reader holds exactly one
@@ -30,17 +30,18 @@
 // ReaderOptions::allow_partial_tail, which stops cleanly at the last
 // complete chunk — the same tail-repair discipline as the campaign JSONL
 // store. A CRC mismatch on a fully present chunk is corruption, not a
-// crash tail, and always fails with a clear error.
+// crash tail, and always fails with a clear error. The reader never
+// allocates more than the file holds: a length field pointing past the end
+// of the file is a truncated chunk, not an allocation request.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "atlarge/trace/event.hpp"
-#include "atlarge/trace/record.hpp"
 
 namespace atlarge::obs {
 class Registry;
@@ -52,6 +53,8 @@ namespace atlarge::trace {
 inline constexpr char kAtlMagic[8] = {'A', 'T', 'L', 'T', 'R', 'C', '0', '1'};
 inline constexpr std::uint32_t kAtlVersion = 1;
 inline constexpr std::uint32_t kAtlChunkMagic = 0x43BA715Eu;
+/// Columns per record: t_us, entity, kind, size, region.
+inline constexpr std::size_t kAtlColumns = 5;
 
 /// IEEE CRC-32 (reflected polynomial 0xEDB88320) over `data`.
 std::uint32_t crc32(const void* data, std::size_t size,
@@ -69,27 +72,20 @@ struct WriterOptions {
   std::size_t chunk_rows = 1 << 16;
 };
 
-/// Streaming columnar writer. Rows are staged column-wise and flushed as
-/// self-contained chunks, so writing never holds more than one chunk.
+/// Streaming event writer. Events are staged and flushed as self-contained
+/// chunks, so writing never holds more than one chunk.
 class TraceWriter {
  public:
   /// Opens `path` for writing and emits the header immediately.
   /// Throws std::runtime_error when the file cannot be opened.
-  TraceWriter(const std::string& path, std::vector<Column> schema,
-              WriterOptions options = {});
+  explicit TraceWriter(const std::string& path, WriterOptions options = {});
   ~TraceWriter();
 
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
-  const std::vector<Column>& schema() const noexcept { return schema_; }
-
-  /// Appends one row; throws std::invalid_argument on arity or type
-  /// mismatch (same contract as Table::append).
-  void append_row(const std::vector<Field>& row);
-
-  /// Fast path for the canonical event schema; throws std::logic_error
-  /// when the writer's schema is not event_schema().
+  /// Stages one event; flushes a chunk every `chunk_rows` events. Throws
+  /// std::logic_error after finish().
   void append(const Event& event);
 
   /// Flushes the staged rows as one chunk (no-op when empty).
@@ -107,17 +103,12 @@ class TraceWriter {
  private:
   void write_raw(const void* data, std::size_t size);
 
-  std::vector<Column> schema_;
   WriterOptions options_;
   std::ofstream out_;
   bool finished_ = false;
-  bool is_event_schema_ = false;
-  std::size_t staged_rows_ = 0;
-  // Column-wise staging buffers, indexed by column.
-  std::vector<std::vector<std::int64_t>> int_cols_;
-  std::vector<std::vector<double>> real_cols_;
-  std::vector<std::vector<std::string>> text_cols_;
-  std::vector<std::uint8_t> scratch_;  // encoded chunk, reused across flushes
+  std::vector<Event> staged_;
+  std::vector<std::uint8_t> payload_;  // one encoded column, reused
+  std::vector<std::uint8_t> frame_;    // one encoded chunk, reused
   std::uint64_t rows_written_ = 0;
   std::uint64_t chunks_written_ = 0;
   std::uint64_t bytes_written_ = 0;
@@ -136,16 +127,14 @@ struct ReaderOptions {
   obs::Registry* obs = nullptr;
 };
 
-/// Chunk-at-a-time columnar reader. Exactly one chunk is decoded and
-/// resident at any moment; text cells are string_views into the chunk
-/// buffer (zero-copy), valid until the next next_chunk() call.
+/// Chunk-at-a-time event reader. Exactly one chunk is decoded and resident
+/// at any moment.
 class TraceReader {
  public:
   /// Opens and validates the header. Throws std::runtime_error on missing
-  /// files, bad magic, or unsupported versions.
+  /// files, bad magic, unsupported versions, and any header other than the
+  /// five-column event header.
   explicit TraceReader(const std::string& path, ReaderOptions options = {});
-
-  const std::vector<Column>& schema() const noexcept { return schema_; }
 
   /// Decodes the next chunk; returns false at (clean) end of file. Throws
   /// std::runtime_error on CRC mismatch or malformed chunks, and on
@@ -155,15 +144,11 @@ class TraceReader {
   /// Rows in the current chunk (0 before the first next_chunk()).
   std::size_t rows() const noexcept { return chunk_rows_; }
 
-  /// Column accessors for the current chunk. `row` < rows(); `col` must
-  /// have the matching type (checked, throws std::invalid_argument).
-  std::int64_t int_at(std::size_t col, std::size_t row) const;
-  double real_at(std::size_t col, std::size_t row) const;
-  std::string_view text_at(std::size_t col, std::size_t row) const;
-
-  /// Whole decoded int column of the current chunk (for bulk consumers).
-  const std::vector<std::int64_t>& int_column(std::size_t col) const;
-  const std::vector<double>& real_column(std::size_t col) const;
+  /// Whole decoded column `col` (< kAtlColumns, in header order) of the
+  /// current chunk.
+  const std::vector<std::int64_t>& int_column(std::size_t col) const {
+    return cols_.at(col);
+  }
 
   /// True when a truncated tail was tolerated (allow_partial_tail only).
   bool truncated() const noexcept { return truncated_; }
@@ -177,16 +162,14 @@ class TraceReader {
   }
 
  private:
+  bool read_exact(void* data, std::size_t size);
   void account_residency();
 
   std::ifstream in_;
   ReaderOptions options_;
-  std::vector<Column> schema_;
+  std::uint64_t unread_ = 0;          // file bytes not yet consumed
   std::vector<std::uint8_t> buffer_;  // raw chunk bytes, reused
-  std::vector<std::vector<std::int64_t>> int_cols_;
-  std::vector<std::vector<double>> real_cols_;
-  // Text columns decode to (offset, length) pairs into buffer_.
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> text_cols_;
+  std::array<std::vector<std::int64_t>, kAtlColumns> cols_;
   std::size_t chunk_rows_ = 0;
   bool truncated_ = false;
   std::uint64_t rows_read_ = 0;
@@ -194,12 +177,11 @@ class TraceReader {
   std::uint64_t peak_resident_ = 0;
 };
 
-/// Pull-stream facade over a TraceReader whose schema is event_schema()
-/// (validated in the constructor; throws std::runtime_error otherwise).
-/// This is how catalog replays drain .atl files with bounded memory.
+/// Pull-stream facade over a TraceReader. This is how catalog replays
+/// drain .atl files with bounded memory.
 class AtlEventStream final : public EventStream {
  public:
-  explicit AtlEventStream(TraceReader& reader);
+  explicit AtlEventStream(TraceReader& reader) : reader_(&reader) {}
 
   bool next(Event& out) override;
 
@@ -207,13 +189,5 @@ class AtlEventStream final : public EventStream {
   TraceReader* reader_;
   std::size_t row_ = 0;
 };
-
-/// Convenience: writes a whole Table as one .atl file (chunked per
-/// options) / reads a whole .atl file back into a Table. The streaming
-/// API above is the real interface; these serve the property tests and
-/// small-table interop with the CSV paths.
-void write_atl(const Table& table, const std::string& path,
-               WriterOptions options = {});
-Table read_atl(const std::string& path, ReaderOptions options = {});
 
 }  // namespace atlarge::trace

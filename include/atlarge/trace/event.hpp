@@ -15,11 +15,10 @@
 // One trace, four engines — the paper's "workloads as first-class design
 // artifacts" (Secs. 3.6, 5) made concrete.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
-
-#include "atlarge/trace/record.hpp"
 
 namespace atlarge::trace {
 
@@ -48,13 +47,6 @@ struct Event {
 inline std::int64_t to_micros(double seconds) noexcept {
   return static_cast<std::int64_t>(seconds * 1e6 + 0.5);
 }
-
-/// The canonical column set: {t_us, entity, kind, size, region}, all kInt.
-std::vector<Column> event_schema();
-
-/// True when `schema` is exactly the canonical event schema (names, order,
-/// and types all match).
-bool is_event_schema(const std::vector<Column>& schema);
 
 /// Push-side consumer: generators emit events in nondecreasing t_us order
 /// into a sink (a TraceWriter, a vector, a replay adapter, ...).
@@ -86,25 +78,6 @@ class VectorEventStream final : public EventStream {
  private:
   const std::vector<Event>* events_;
   std::size_t pos_ = 0;
-};
-
-/// Caps an underlying stream at `max_events` (0 = unlimited) — the
-/// `--max-events` CLI knob and the CI scenario-smoke cap.
-class CappedEventStream final : public EventStream {
- public:
-  CappedEventStream(EventStream& inner, std::size_t max_events)
-      : inner_(&inner), remaining_(max_events == 0 ? SIZE_MAX : max_events) {}
-
-  bool next(Event& out) override {
-    if (remaining_ == 0) return false;
-    if (!inner_->next(out)) return false;
-    --remaining_;
-    return true;
-  }
-
- private:
-  EventStream* inner_;
-  std::size_t remaining_;
 };
 
 }  // namespace atlarge::trace

@@ -405,7 +405,7 @@ std::vector<Event> events(const Scenario& scenario, std::uint64_t seed,
 std::uint64_t write_trace(const Scenario& scenario, const std::string& path,
                           std::uint64_t seed, std::size_t max_events,
                           WriterOptions options) {
-  TraceWriter writer(path, event_schema(), options);
+  TraceWriter writer(path, options);
   std::uint64_t written = 0;
   try {
     generate(scenario, seed, [&](const Event& e) {

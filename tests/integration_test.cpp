@@ -2,7 +2,10 @@
 // modules together the way the benches and examples do.
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -10,8 +13,35 @@
 
 using namespace atlarge;
 
+namespace {
+
+std::string temp_atl(const std::string& tag) {
+  return ::testing::TempDir() + "integration_" + tag + ".atl";
+}
+
+/// Writes `events` as an .atl trace and reads them back through the
+/// streaming reader.
+std::vector<trace::Event> atl_round_trip(
+    const std::string& path, const std::vector<trace::Event>& events) {
+  {
+    trace::TraceWriter writer(path);
+    for (const auto& e : events) writer.append(e);
+    writer.finish();
+  }
+  trace::TraceReader reader(path);
+  trace::AtlEventStream stream(reader);
+  std::vector<trace::Event> back;
+  trace::Event e;
+  while (stream.next(e)) back.push_back(e);
+  std::remove(path.c_str());
+  return back;
+}
+
+}  // namespace
+
 TEST(Integration, WorkloadThroughSchedulerIntoTraceTable) {
-  // Generate a workload, schedule it, archive per-job stats as a trace.
+  // Generate a workload, schedule it, archive the job submissions as an
+  // .atl event trace.
   workflow::WorkloadSpec spec;
   spec.cls = workflow::WorkloadClass::kScientific;
   spec.jobs = 25;
@@ -20,23 +50,31 @@ TEST(Integration, WorkloadThroughSchedulerIntoTraceTable) {
   const auto env = cluster::make_homogeneous_cluster("c", 4, 8);
   sched::SjfPolicy policy;
   const auto result = sched::simulate(env, wl, policy);
+  for (const auto& j : result.jobs) EXPECT_GE(j.slowdown(), 1.0);
 
-  trace::Table table({{"job", trace::FieldType::kInt},
-                      {"slowdown", trace::FieldType::kReal},
-                      {"user", trace::FieldType::kText}});
-  for (const auto& j : result.jobs) {
-    table.append({static_cast<std::int64_t>(j.id), j.slowdown(),
-                  std::string("Sci")});
+  // One session-start event per job: when it was submitted, which job,
+  // and its response time in milliseconds.
+  auto jobs = result.jobs;
+  std::stable_sort(jobs.begin(), jobs.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.submit < b.submit;
+                   });
+  std::vector<trace::Event> events;
+  for (const auto& j : jobs) {
+    trace::Event e;
+    e.t_us = trace::to_micros(j.submit);
+    e.entity = static_cast<std::int64_t>(j.id);
+    e.kind = static_cast<std::int64_t>(trace::EventKind::kSessionStart);
+    e.size = trace::to_micros(j.response()) / 1000;
+    events.push_back(e);
   }
-  std::stringstream buffer;
-  table.write_csv(buffer);
-  const auto back = trace::Table::read_csv(
-      buffer, {{"job", trace::FieldType::kInt},
-               {"slowdown", trace::FieldType::kReal},
-               {"user", trace::FieldType::kText}});
-  EXPECT_EQ(back.rows(), result.jobs.size());
-  const auto slowdowns = back.numeric_column("slowdown");
-  for (double s : slowdowns) EXPECT_GE(s, 1.0);
+  const auto back = atl_round_trip(temp_atl("jobs"), events);
+  ASSERT_EQ(back.size(), result.jobs.size());
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    EXPECT_EQ(back[i].t_us, events[i].t_us) << "job " << i;
+    EXPECT_EQ(back[i].entity, events[i].entity) << "job " << i;
+    EXPECT_EQ(back[i].size, events[i].size) << "job " << i;
+  }
 }
 
 TEST(Integration, PortfolioSelectionsFeedRankings) {
@@ -95,24 +133,27 @@ TEST(Integration, P2PEcosystemArchivedAsFairDatasets) {
   config.swarm.content_mb = 50.0;
   const auto eco = p2p::simulate_ecosystem(config);
 
-  // Each swarm's monitor series becomes one dataset in the open,
-  // schema-checked CSV trace format, and reads back row for row.
-  const std::vector<trace::Column> schema = {
-      {"time", trace::FieldType::kReal},
-      {"seeds", trace::FieldType::kInt},
-      {"leechers", trace::FieldType::kInt},
-  };
-  for (const auto& swarm : eco.swarms) {
-    trace::Table table(schema);
-    for (const auto& sample : swarm.result.series)
-      table.append({sample.time, std::int64_t{sample.seeds},
-                    std::int64_t{sample.leechers}});
-    std::stringstream csv;
-    table.write_csv(csv);
-    const auto back = trace::Table::read_csv(csv, schema);
-    ASSERT_EQ(back.rows(), swarm.result.series.size());
-    EXPECT_EQ(back.numeric_column("leechers"),
-              table.numeric_column("leechers"));
+  // Each swarm's peer arrivals become one dataset in the open .atl event
+  // format (a session start per peer, the swarm as its region), and read
+  // back event for event.
+  ASSERT_FALSE(eco.swarms.empty());
+  for (std::size_t s = 0; s < eco.swarms.size(); ++s) {
+    const auto& peers = eco.swarms[s].result.peers;
+    std::vector<trace::Event> events;
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      trace::Event e;
+      e.t_us = trace::to_micros(peers[i].arrival);
+      e.entity = static_cast<std::int64_t>(i);
+      e.kind = static_cast<std::int64_t>(trace::EventKind::kSessionStart);
+      e.region = static_cast<std::int64_t>(s);
+      events.push_back(e);
+    }
+    const auto back = atl_round_trip(temp_atl("swarm"), events);
+    ASSERT_EQ(back.size(), peers.size()) << "swarm " << s;
+    for (std::size_t i = 0; i < back.size(); ++i) {
+      EXPECT_EQ(back[i].t_us, events[i].t_us) << "swarm " << s;
+      EXPECT_EQ(back[i].region, events[i].region) << "swarm " << s;
+    }
   }
 }
 
@@ -336,7 +377,49 @@ TEST(Integration, FaultInjectionMirrorsIntoObservabilityPlane) {
     EXPECT_EQ(counters.at("fault.recovered").value(),
               result.faults_recovered);
   }
-  if (result.failed_invocations > 0)
+  if (result.failed_invocations > 0) {
     EXPECT_EQ(counters.at("faas.failed").value(), result.failed_invocations);
+  }
   EXPECT_NE(plane.metrics.json().find("fault.injected"), std::string::npos);
+}
+
+TEST(Integration, OnePrometheusFamilyPerMetric) {
+  // One plane watches a scheduler run, a FaaS run and a swarm; the
+  // exposition must declare every metric family exactly once (each engine
+  // records its latency-like metric into a digest only).
+  obs::Observability plane;
+
+  workflow::WorkloadSpec spec;
+  spec.cls = workflow::WorkloadClass::kScientific;
+  spec.jobs = 10;
+  spec.seed = 21;
+  sched::FcfsPolicy policy;
+  sched::SimOptions sim_options;
+  sim_options.obs = &plane;
+  sched::simulate(cluster::make_homogeneous_cluster("c", 2, 4),
+                  workflow::generate(spec), policy, sim_options);
+
+  serverless::PlatformConfig platform;
+  platform.obs = &plane;
+  serverless::run_platform({{"alpha", 0.2, 1.0, 128.0}},
+                           {{0, 0.0}, {0, 0.1}, {0, 50.0}}, platform);
+
+  p2p::SwarmConfig swarm;
+  swarm.obs = &plane;
+  stats::Rng rng(17);
+  p2p::simulate_swarm(swarm, p2p::poisson_arrivals(0.05, 2'000.0, rng),
+                      50'000.0);
+
+  std::map<std::string, int> families;
+  std::istringstream lines(plane.metrics.prometheus());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    const std::size_t end = line.find(' ', 7);
+    ++families[line.substr(7, end - 7)];
+  }
+  for (const char* name :
+       {"sched_task_wait", "faas_latency", "p2p_download_time"}) {
+    EXPECT_TRUE(families.contains(name)) << name;
+  }
+  for (const auto& [name, count] : families) EXPECT_EQ(count, 1) << name;
 }

@@ -1,164 +1,24 @@
-// Tests for trace tables and the .atl binary columnar trace format
-// (round-trips, truncation vs corruption, bounded reader residency).
+// Tests for the .atl event trace format: round-trips, the fixed event
+// header, truncation vs corruption, bounded reader residency, and a seeded
+// mutation fuzz of the reader.
 
-#include <cmath>
+#include <sys/resource.h>
+
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <random>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "atlarge/trace/atl.hpp"
-#include "atlarge/trace/record.hpp"
 
 namespace trace = atlarge::trace;
-
-namespace {
-
-std::vector<trace::Column> job_schema() {
-  return {{"job_id", trace::FieldType::kInt},
-          {"runtime", trace::FieldType::kReal},
-          {"user", trace::FieldType::kText}};
-}
-
-}  // namespace
-
-TEST(Table, RequiresNonEmptySchema) {
-  EXPECT_THROW(trace::Table({}), std::invalid_argument);
-}
-
-TEST(Table, AppendAndRead) {
-  trace::Table t(job_schema());
-  t.append({std::int64_t{1}, 2.5, std::string("alice")});
-  EXPECT_EQ(t.rows(), 1u);
-  EXPECT_EQ(std::get<std::int64_t>(t.row(0)[0]), 1);
-  EXPECT_DOUBLE_EQ(std::get<double>(t.row(0)[1]), 2.5);
-  EXPECT_EQ(std::get<std::string>(t.row(0)[2]), "alice");
-}
-
-TEST(Table, AppendRejectsArityMismatch) {
-  trace::Table t(job_schema());
-  EXPECT_THROW(t.append({std::int64_t{1}, 2.5}), std::invalid_argument);
-}
-
-TEST(Table, AppendRejectsTypeMismatch) {
-  trace::Table t(job_schema());
-  EXPECT_THROW(t.append({2.5, std::int64_t{1}, std::string("x")}),
-               std::invalid_argument);
-}
-
-TEST(Table, ColumnIndexLookup) {
-  trace::Table t(job_schema());
-  EXPECT_EQ(t.column_index("runtime"), 1u);
-  EXPECT_EQ(t.column_index("nope"), trace::Table::npos);
-}
-
-TEST(Table, NumericColumnWidensInts) {
-  trace::Table t(job_schema());
-  t.append({std::int64_t{4}, 1.0, std::string("a")});
-  t.append({std::int64_t{9}, 2.0, std::string("b")});
-  const auto col = t.numeric_column("job_id");
-  EXPECT_EQ(col, (std::vector<double>{4.0, 9.0}));
-}
-
-TEST(Table, NumericColumnRejectsText) {
-  trace::Table t(job_schema());
-  EXPECT_THROW(t.numeric_column("user"), std::invalid_argument);
-  EXPECT_THROW(t.numeric_column("missing"), std::invalid_argument);
-}
-
-TEST(Table, CsvRoundTrip) {
-  trace::Table t(job_schema());
-  t.append({std::int64_t{1}, 3.14159, std::string("plain")});
-  t.append({std::int64_t{2}, -0.5, std::string("with,comma")});
-  t.append({std::int64_t{3}, 1e-10, std::string("with\"quote")});
-  std::stringstream buffer;
-  t.write_csv(buffer);
-  const auto back = trace::Table::read_csv(buffer, job_schema());
-  ASSERT_EQ(back.rows(), 3u);
-  EXPECT_EQ(std::get<std::string>(back.row(1)[2]), "with,comma");
-  EXPECT_EQ(std::get<std::string>(back.row(2)[2]), "with\"quote");
-  EXPECT_DOUBLE_EQ(std::get<double>(back.row(0)[1]), 3.14159);
-  EXPECT_DOUBLE_EQ(std::get<double>(back.row(2)[1]), 1e-10);
-}
-
-TEST(Table, ReadCsvRejectsHeaderMismatch) {
-  std::stringstream buffer("a,b\n1,2\n");
-  EXPECT_THROW(trace::Table::read_csv(buffer, job_schema()),
-               std::runtime_error);
-}
-
-TEST(Table, ReadCsvRejectsBadCells) {
-  std::stringstream buffer("job_id,runtime,user\nnot_an_int,1.0,x\n");
-  EXPECT_THROW(trace::Table::read_csv(buffer, job_schema()),
-               std::runtime_error);
-}
-
-TEST(Table, ReadCsvSkipsBlankLines) {
-  std::stringstream buffer("job_id,runtime,user\n1,1.0,x\n\n2,2.0,y\n");
-  const auto t = trace::Table::read_csv(buffer, job_schema());
-  EXPECT_EQ(t.rows(), 2u);
-}
-
-// ------------------------------------------------------- CSV robustness --
-
-TEST(Table, ReadCsvStripsWindowsLineEndings) {
-  // CRLF fixture: a trace exported on Windows must parse identically to
-  // its LF twin — including the last cell of each row, which otherwise
-  // grows a trailing '\r'.
-  std::stringstream buffer(
-      "job_id,runtime,user\r\n1,1.5,alice\r\n2,2.5,bob\r\n");
-  const auto t = trace::Table::read_csv(buffer, job_schema());
-  ASSERT_EQ(t.rows(), 2u);
-  EXPECT_EQ(std::get<std::string>(t.row(0)[2]), "alice");
-  EXPECT_EQ(std::get<std::string>(t.row(1)[2]), "bob");
-  EXPECT_DOUBLE_EQ(std::get<double>(t.row(1)[1]), 2.5);
-}
-
-TEST(Table, ReadCsvStripsCrOnBlankAndHeaderLines) {
-  std::stringstream buffer("job_id,runtime,user\r\n\r\n3,0.25,carol\r\n");
-  const auto t = trace::Table::read_csv(buffer, job_schema());
-  ASSERT_EQ(t.rows(), 1u);
-  EXPECT_EQ(std::get<std::int64_t>(t.row(0)[0]), 3);
-}
-
-TEST(Table, CsvRealRoundTripIsExact) {
-  // write_csv emits shortest-round-trip reals via std::to_chars and
-  // read_csv parses with std::from_chars: locale-independent and exact
-  // for every finite double, including the nasty corners.
-  const std::vector<double> values = {
-      0.0,
-      -0.0,
-      1.0 / 3.0,
-      -1e308,
-      1e308,
-      5e-324,                                     // min subnormal
-      2.2250738585072014e-308,                    // min normal
-      0.1,
-      -123456789.123456789,
-      6.02214076e23,
-  };
-  trace::Table t({{"x", trace::FieldType::kReal}});
-  for (const double v : values) t.append({v});
-  std::stringstream buffer;
-  t.write_csv(buffer);
-  const auto back =
-      trace::Table::read_csv(buffer, {{"x", trace::FieldType::kReal}});
-  ASSERT_EQ(back.rows(), values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const double got = std::get<double>(back.row(i)[0]);
-    // Bit-exact, not just value-equal: -0.0 must survive.
-    std::uint64_t want_bits = 0, got_bits = 0;
-    std::memcpy(&want_bits, &values[i], sizeof want_bits);
-    std::memcpy(&got_bits, &got, sizeof got_bits);
-    EXPECT_EQ(got_bits, want_bits) << "row " << i << " value " << values[i];
-  }
-}
-
-// ------------------------------------------------------------ .atl format --
 
 namespace {
 
@@ -176,6 +36,69 @@ std::string slurp_file(const std::string& path) {
 void spit_file(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+auto fields(const trace::Event& e) {
+  return std::make_tuple(e.t_us, e.entity, e.kind, e.size, e.region);
+}
+
+/// Seeded event vector with nondecreasing timestamps.
+std::vector<trace::Event> random_events(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<trace::Event> events(n);
+  std::int64_t t = 0;
+  for (auto& e : events) {
+    t += static_cast<std::int64_t>(rng() % 5'000);
+    e.t_us = t;
+    e.entity = static_cast<std::int64_t>(rng() % 1'000);
+    e.kind = static_cast<std::int64_t>(rng() % 3);
+    e.size = static_cast<std::int64_t>(rng() % 100'000);
+    e.region = static_cast<std::int64_t>(rng() % 4);
+  }
+  return events;
+}
+
+/// Writes `events` to `path`; returns the offset where each chunk starts,
+/// followed by the file size (so chunk k spans [b[k], b[k + 1])).
+std::vector<std::size_t> write_events(const std::string& path,
+                                      const std::vector<trace::Event>& events,
+                                      std::size_t chunk_rows = 1 << 16) {
+  trace::TraceWriter writer(path, {.chunk_rows = chunk_rows});
+  std::vector<std::size_t> bounds{writer.bytes_written()};
+  for (const auto& e : events) {
+    writer.append(e);
+    if (writer.bytes_written() != bounds.back())
+      bounds.push_back(writer.bytes_written());
+  }
+  writer.finish();
+  if (writer.bytes_written() != bounds.back())
+    bounds.push_back(writer.bytes_written());
+  return bounds;
+}
+
+std::vector<trace::Event> read_events(const std::string& path) {
+  trace::TraceReader reader(path);
+  trace::AtlEventStream stream(reader);
+  std::vector<trace::Event> out;
+  trace::Event e;
+  while (stream.next(e)) out.push_back(e);
+  return out;
+}
+
+/// Recomputes the CRC of the chunk spanning [begin, end) of `bytes`: the
+/// CRC covers everything between the chunk magic and the CRC itself.
+void reseal_chunk(std::string& bytes, std::size_t begin, std::size_t end) {
+  const std::uint32_t crc =
+      trace::crc32(bytes.data() + begin + 4, end - begin - 8);
+  for (int i = 0; i < 4; ++i)
+    bytes[end - 4 + i] = static_cast<char>(crc >> (8 * i));
+}
+
+/// Peak resident set size of this process so far, in KiB.
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
 }
 
 }  // namespace
@@ -209,75 +132,55 @@ TEST(Atl, VarintEncodesLeb128) {
 }
 
 TEST(Atl, TableRoundTripsAllTypes) {
-  const std::string path = atl_temp_path("roundtrip");
-  trace::Table t(job_schema());
-  t.append({std::int64_t{42}, 3.14159, std::string("alice")});
-  t.append({std::int64_t{-7}, -0.0, std::string("")});
-  t.append({std::numeric_limits<std::int64_t>::max(), 1e308,
-            std::string("utf8 \xC3\xA9\xC3\xA8")});
-  t.append({std::numeric_limits<std::int64_t>::min(), 5e-324,
-            std::string("comma,quote\"newline\n")});
-  trace::write_atl(t, path);
-  // The int column's deltas span the full int64 range; pin the on-disk
-  // bytes (size and CRC of the whole file) so the encoding stays fixed.
-  const std::string bytes = slurp_file(path);
-  EXPECT_EQ(bytes.size(), 141u);
-  EXPECT_EQ(trace::crc32(bytes.data(), bytes.size()), 0x56217B21u);
-  const auto back = trace::read_atl(path);
-  ASSERT_EQ(back.rows(), t.rows());
-  for (std::size_t r = 0; r < t.rows(); ++r) {
-    EXPECT_EQ(back.row(r), t.row(r)) << "row " << r;
+  // Every column cycles through 42, -7, INT64_MAX and INT64_MIN, so its
+  // deltas span the full int64 range (they wrap modulo 2^64).
+  const std::int64_t values[4] = {42, -7,
+                                  std::numeric_limits<std::int64_t>::max(),
+                                  std::numeric_limits<std::int64_t>::min()};
+  std::vector<trace::Event> events(4);
+  for (std::size_t r = 0; r < events.size(); ++r) {
+    events[r].t_us = values[r % 4];
+    events[r].entity = values[(r + 1) % 4];
+    events[r].kind = values[(r + 2) % 4];
+    events[r].size = values[(r + 3) % 4];
+    events[r].region = values[r % 4];
   }
+  const std::string path = atl_temp_path("roundtrip");
+  write_events(path, events);
+  // Pin the on-disk bytes (size and CRC of the whole file) so the encoding
+  // stays fixed.
+  const std::string bytes = slurp_file(path);
+  EXPECT_EQ(bytes.size(), 176u);
+  EXPECT_EQ(trace::crc32(bytes.data(), bytes.size()), 0x2AF7D7B9u);
+  const auto back = read_events(path);
+  ASSERT_EQ(back.size(), events.size());
+  for (std::size_t r = 0; r < events.size(); ++r)
+    EXPECT_EQ(fields(back[r]), fields(events[r])) << "row " << r;
   std::remove(path.c_str());
 }
 
 TEST(Atl, PropertyRandomTablesRoundTrip) {
-  // Property test: random typed tables of random shapes survive the
-  // write->read cycle exactly, across chunk boundaries (chunk_rows = 7
-  // forces many small chunks).
+  // Property test: random event vectors of random lengths, with arbitrary
+  // 64-bit values in every column, survive the write->read cycle exactly
+  // across chunk boundaries (chunk_rows = 7 forces many small chunks).
   std::mt19937_64 rng(20260809);
+  const auto any = [&] { return static_cast<std::int64_t>(rng()); };
   for (int iter = 0; iter < 8; ++iter) {
-    std::vector<trace::Column> schema;
-    const std::size_t cols = 1 + rng() % 4;
-    for (std::size_t c = 0; c < cols; ++c) {
-      schema.push_back({"c" + std::to_string(c),
-                        static_cast<trace::FieldType>(rng() % 3)});
-    }
-    trace::Table t(schema);
-    const std::size_t rows = rng() % 40;
-    for (std::size_t r = 0; r < rows; ++r) {
-      std::vector<trace::Field> row;
-      for (const auto& col : schema) {
-        switch (col.type) {
-          case trace::FieldType::kInt:
-            row.emplace_back(static_cast<std::int64_t>(rng()));
-            break;
-          case trace::FieldType::kReal: {
-            // Random finite double from random bits.
-            double d = 0.0;
-            std::uint64_t bits;
-            do {
-              bits = rng();
-              std::memcpy(&d, &bits, sizeof d);
-            } while (!std::isfinite(d));
-            row.emplace_back(d);
-            break;
-          }
-          case trace::FieldType::kText:
-            row.emplace_back(std::string(rng() % 17, 'a' + rng() % 26));
-            break;
-        }
-      }
-      t.append(row);
+    std::vector<trace::Event> events(rng() % 40);
+    for (auto& e : events) {
+      e.t_us = any();
+      e.entity = any();
+      e.kind = any();
+      e.size = any();
+      e.region = any();
     }
     const std::string path = atl_temp_path("property");
-    trace::WriterOptions options;
-    options.chunk_rows = 7;
-    trace::write_atl(t, path, options);
-    const auto back = trace::read_atl(path);
-    ASSERT_EQ(back.rows(), t.rows()) << "iter " << iter;
-    for (std::size_t r = 0; r < t.rows(); ++r)
-      EXPECT_EQ(back.row(r), t.row(r)) << "iter " << iter << " row " << r;
+    write_events(path, events, 7);
+    const auto back = read_events(path);
+    ASSERT_EQ(back.size(), events.size()) << "iter " << iter;
+    for (std::size_t r = 0; r < events.size(); ++r)
+      EXPECT_EQ(fields(back[r]), fields(events[r]))
+          << "iter " << iter << " row " << r;
     std::remove(path.c_str());
   }
 }
@@ -294,14 +197,57 @@ TEST(Atl, RejectsBadMagicAndVersion) {
   std::remove(path.c_str());
 }
 
+TEST(Atl, ReaderAcceptsOnlyTheEventHeader) {
+  // Well-formed version-1 headers that declare any other column set — a
+  // real or text column, a renamed column, one column too few or too many —
+  // are not event traces and must not open.
+  using Columns = std::vector<std::pair<char, std::string>>;  // type, name
+  const auto header = [](const Columns& columns) {
+    std::string h(trace::kAtlMagic, sizeof trace::kAtlMagic);
+    h += std::string("\x01\x00\x00\x00", 4);
+    h += static_cast<char>(columns.size());
+    h += '\0';
+    for (const auto& [type, name] : columns) {
+      h += type;
+      h += static_cast<char>(name.size());
+      h += '\0';
+      h += name;
+    }
+    return h;
+  };
+  const Columns event = {
+      {0, "t_us"}, {0, "entity"}, {0, "kind"}, {0, "size"}, {0, "region"}};
+  const std::string path = atl_temp_path("header");
+  { trace::TraceWriter writer(path); }
+  ASSERT_EQ(slurp_file(path), header(event));  // what the writer emits
+
+  Columns real = event;
+  real[3].first = 1;
+  Columns text = event;
+  text[1].first = 2;
+  Columns renamed = event;
+  renamed[4].second = "zone";
+  Columns fewer = event;
+  fewer.pop_back();
+  Columns more = event;
+  more.push_back({0, "extra"});
+  for (const auto& [what, columns] :
+       {std::pair{"real column", real}, std::pair{"text column", text},
+        std::pair{"renamed column", renamed},
+        std::pair{"four columns", fewer}, std::pair{"six columns", more}}) {
+    spit_file(path, header(columns));
+    EXPECT_THROW(trace::TraceReader reader(path), std::runtime_error) << what;
+  }
+
+  spit_file(path, header(event));
+  trace::TraceReader reader(path);
+  EXPECT_FALSE(reader.next_chunk());
+  std::remove(path.c_str());
+}
+
 TEST(Atl, TruncatedFileThrowsByDefaultAndStopsCleanlyWhenAllowed) {
   const std::string path = atl_temp_path("truncated");
-  trace::Table t(job_schema());
-  for (int i = 0; i < 50; ++i)
-    t.append({std::int64_t{i}, 0.5 * i, std::string("u") + std::to_string(i)});
-  trace::WriterOptions options;
-  options.chunk_rows = 10;  // 5 chunks
-  trace::write_atl(t, path, options);
+  write_events(path, random_events(50, 1), 10);  // 5 chunks
 
   // Cut the file mid-way through the last chunk: a crash tail.
   const std::string bytes = slurp_file(path);
@@ -317,9 +263,7 @@ TEST(Atl, TruncatedFileThrowsByDefaultAndStopsCleanlyWhenAllowed) {
         std::runtime_error);
   }
   {
-    trace::ReaderOptions ro;
-    ro.allow_partial_tail = true;
-    trace::TraceReader reader(path, ro);
+    trace::TraceReader reader(path, {.allow_partial_tail = true});
     std::size_t rows = 0;
     while (reader.next_chunk()) rows += reader.rows();
     EXPECT_EQ(rows, 40u);  // the 4 complete chunks
@@ -330,21 +274,15 @@ TEST(Atl, TruncatedFileThrowsByDefaultAndStopsCleanlyWhenAllowed) {
 
 TEST(Atl, CorruptedChunkCrcThrowsEvenWithPartialTailAllowed) {
   const std::string path = atl_temp_path("crc");
-  trace::Table t(job_schema());
-  for (int i = 0; i < 30; ++i)
-    t.append({std::int64_t{i}, 1.0 * i, std::string("x")});
-  trace::WriterOptions options;
-  options.chunk_rows = 10;
-  trace::write_atl(t, path, options);
+  write_events(path, random_events(30, 2), 10);
 
   // Flip one payload byte in the middle of the file: parseable but wrong.
   std::string bytes = slurp_file(path);
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x40);
   spit_file(path, bytes);
 
-  trace::ReaderOptions ro;
-  ro.allow_partial_tail = true;  // corruption is NOT a crash tail
-  trace::TraceReader reader(path, ro);
+  // Corruption is NOT a crash tail.
+  trace::TraceReader reader(path, {.allow_partial_tail = true});
   EXPECT_THROW(
       {
         while (reader.next_chunk()) {
@@ -357,16 +295,9 @@ TEST(Atl, CorruptedChunkCrcThrowsEvenWithPartialTailAllowed) {
 TEST(Atl, CleanTailPartialReadReportsNotTruncated) {
   // allow_partial_tail on an intact file must not change semantics.
   const std::string path = atl_temp_path("clean");
-  trace::Table t(job_schema());
-  for (int i = 0; i < 25; ++i)
-    t.append({std::int64_t{i}, 2.0 * i, std::string("y")});
-  trace::WriterOptions options;
-  options.chunk_rows = 10;
-  trace::write_atl(t, path, options);
+  write_events(path, random_events(25, 3), 10);
 
-  trace::ReaderOptions ro;
-  ro.allow_partial_tail = true;
-  trace::TraceReader reader(path, ro);
+  trace::TraceReader reader(path, {.allow_partial_tail = true});
   std::size_t rows = 0;
   while (reader.next_chunk()) rows += reader.rows();
   EXPECT_EQ(rows, 25u);
@@ -379,13 +310,11 @@ TEST(Atl, ReaderResidencyIsBoundedByChunkNotFile) {
   // Two files with identical content, one written as a single huge chunk
   // and one chunked small: the chunked reader's peak residency must track
   // the chunk size, not the file size.
-  trace::Table t(job_schema());
-  for (int i = 0; i < 4'000; ++i)
-    t.append({std::int64_t{i}, 0.1 * i, std::string("user")});
+  const auto events = random_events(4'000, 4);
   const std::string big_path = atl_temp_path("bigchunk");
   const std::string small_path = atl_temp_path("smallchunk");
-  trace::write_atl(t, big_path, {.chunk_rows = 100'000});
-  trace::write_atl(t, small_path, {.chunk_rows = 64});
+  write_events(big_path, events, 100'000);
+  write_events(small_path, events, 64);
 
   std::uint64_t peak_big = 0, peak_small = 0;
   for (const auto* p : {&big_path, &small_path}) {
@@ -403,7 +332,7 @@ TEST(Atl, ReaderResidencyIsBoundedByChunkNotFile) {
 TEST(Atl, WriterCountsAndEmptyTableYieldZeroChunks) {
   const std::string path = atl_temp_path("counts");
   {
-    trace::TraceWriter writer(path, job_schema());
+    trace::TraceWriter writer(path);
     writer.finish();
     EXPECT_EQ(writer.rows_written(), 0u);
     EXPECT_EQ(writer.chunks_written(), 0u);
@@ -412,5 +341,172 @@ TEST(Atl, WriterCountsAndEmptyTableYieldZeroChunks) {
   trace::TraceReader reader(path);
   EXPECT_FALSE(reader.next_chunk());
   EXPECT_EQ(reader.rows_read(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(Atl, PayloadLengthPastEndOfFileAllocatesNothing) {
+  // A 300-event trace whose first column claims a ~2 GiB payload: the
+  // length points past the end of the file, so the chunk is truncated and
+  // the reader must say so without first allocating that payload.
+  const std::string path = atl_temp_path("hugelength");
+  const auto bounds = write_events(path, random_events(300, 5));
+  std::string bytes = slurp_file(path);
+  // Column 0's length varint follows the chunk magic, the row count and
+  // the column's encoding byte.
+  const std::size_t at = bounds[0] + 4 + 4 + 1;
+  std::size_t end = at;
+  while (static_cast<std::uint8_t>(bytes[end]) & 0x80u) ++end;
+  std::vector<std::uint8_t> huge;
+  trace::put_varint(huge, 0x7FFFFFF0u);
+  bytes.replace(at, end + 1 - at, std::string(huge.begin(), huge.end()));
+  spit_file(path, bytes);
+
+  const long before = peak_rss_kib();
+  {
+    trace::TraceReader reader(path);
+    EXPECT_THROW(reader.next_chunk(), std::runtime_error);
+  }
+  EXPECT_LT(peak_rss_kib() - before, 64 * 1024);
+  {
+    trace::TraceReader reader(path, {.allow_partial_tail = true});
+    EXPECT_FALSE(reader.next_chunk());
+    EXPECT_TRUE(reader.truncated());
+    EXPECT_EQ(reader.rows_read(), 0u);
+  }
+  EXPECT_LT(peak_rss_kib() - before, 64 * 1024);
+  std::remove(path.c_str());
+}
+
+TEST(Atl, RowCountBeyondColumnPayloadIsCorruption) {
+  // A CRC-valid chunk claiming ~4G rows over a 300-row payload: every int
+  // cell takes at least one byte, so the reader rejects the chunk before
+  // reserving room for the claimed rows — in both modes, since a complete
+  // chunk that lies about itself is corruption, not a crash tail.
+  const std::string path = atl_temp_path("hugerows");
+  const auto bounds = write_events(path, random_events(300, 6));
+  std::string bytes = slurp_file(path);
+  for (int i = 0; i < 4; ++i) bytes[bounds[0] + 4 + i] = '\xF0';
+  reseal_chunk(bytes, bounds[0], bounds[1]);
+  spit_file(path, bytes);
+
+  const long before = peak_rss_kib();
+  for (const bool partial : {false, true}) {
+    trace::TraceReader reader(path, {.allow_partial_tail = partial});
+    EXPECT_THROW(reader.next_chunk(), std::runtime_error);
+  }
+  EXPECT_LT(peak_rss_kib() - before, 64 * 1024);
+  std::remove(path.c_str());
+}
+
+TEST(Atl, MutationFuzzYieldsEventsOrRuntimeError) {
+  // Seeded mutation fuzz: 2,000 byte flips, truncations and chunk splices
+  // of a three-chunk trace, each read to the end with allow_partial_tail
+  // off and on. Every read must yield events or throw std::runtime_error;
+  // any other exception, crash or sanitizer report fails the test, and so
+  // does decode memory beyond a small multiple of the file's size.
+  const std::string base_path = atl_temp_path("fuzzbase");
+  const auto bounds = write_events(base_path, random_events(60, 7), 20);
+  ASSERT_EQ(bounds.size(), 4u);  // header end + three chunk ends
+  const std::string base = slurp_file(base_path);
+  const std::string path = atl_temp_path("fuzz");
+
+  struct Outcome {
+    bool ok = false;
+    bool truncated = false;
+    std::vector<trace::Event> events;
+  };
+  const auto read = [&](std::size_t file_size, bool allow_partial_tail) {
+    Outcome out;
+    try {
+      trace::TraceReader reader(path,
+                                {.allow_partial_tail = allow_partial_tail});
+      trace::AtlEventStream stream(reader);
+      trace::Event e;
+      while (stream.next(e)) out.events.push_back(e);
+      EXPECT_EQ(out.events.size(), reader.rows_read());
+      EXPECT_LE(reader.peak_resident_bytes(), 16 * file_size);
+      out.ok = true;
+      out.truncated = reader.truncated();
+    } catch (const std::runtime_error&) {
+    }
+    return out;
+  };
+
+  std::mt19937_64 rng(20261017);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const auto chunk = [&](std::size_t k) {
+    return base.substr(bounds[k], bounds[k + 1] - bounds[k]);
+  };
+  int yielded = 0, rejected = 0, salvaged = 0;
+  for (int iter = 0; iter < 2'000; ++iter) {
+    std::string bytes = base;
+    switch (iter % 5) {
+      case 0:  // flip bytes anywhere; the CRC usually catches them
+        for (std::size_t n = 1 + pick(3); n > 0; --n)
+          bytes[pick(bytes.size())] ^= static_cast<char>(1 + pick(255));
+        break;
+      case 1: {  // flip bytes inside one chunk and fix its CRC, so the
+                 // damage reaches the row-count and column decoders
+        const std::size_t k = pick(3);
+        const std::size_t span = bounds[k + 1] - bounds[k] - 8;
+        for (std::size_t n = 1 + pick(3); n > 0; --n)
+          bytes[bounds[k] + 4 + pick(span)] ^=
+              static_cast<char>(1 + pick(255));
+        reseal_chunk(bytes, bounds[k], bounds[k + 1]);
+        break;
+      }
+      case 2:  // truncate anywhere
+        bytes.resize(pick(bytes.size()));
+        break;
+      case 3: {  // chunk splice: drop, duplicate, or move a whole chunk
+        const std::size_t k = pick(3);
+        const std::string c = chunk(k);
+        switch (pick(3)) {
+          case 0:
+            bytes.erase(bounds[k], c.size());
+            break;
+          case 1:
+            bytes.insert(bounds[pick(4)], c);
+            break;
+          default:
+            bytes.erase(bounds[k], c.size());
+            bytes.insert(pick(bytes.size() + 1), c);
+            break;
+        }
+        break;
+      }
+      default: {  // splice a random byte range of the file elsewhere
+        const std::size_t from = pick(base.size());
+        const std::string piece = base.substr(from, 1 + pick(64));
+        bytes.insert(pick(bytes.size() + 1), piece);
+        break;
+      }
+    }
+    spit_file(path, bytes);
+
+    const Outcome strict = read(bytes.size(), false);
+    const Outcome partial = read(bytes.size(), true);
+    // The two modes differ only at a truncated tail.
+    if (strict.ok) {
+      ASSERT_TRUE(partial.ok) << "iter " << iter;
+      EXPECT_FALSE(partial.truncated) << "iter " << iter;
+      ASSERT_EQ(partial.events.size(), strict.events.size()) << "iter " << iter;
+      for (std::size_t i = 0; i < strict.events.size(); ++i)
+        EXPECT_EQ(fields(partial.events[i]), fields(strict.events[i]));
+      ++yielded;
+    } else if (partial.ok) {
+      EXPECT_TRUE(partial.truncated) << "iter " << iter;
+      ++salvaged;
+    } else {
+      ++rejected;
+    }
+  }
+  // The mutator reaches all three outcomes.
+  EXPECT_GT(yielded, 0);
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(salvaged, 0);
+  std::remove(base_path.c_str());
   std::remove(path.c_str());
 }
