@@ -73,7 +73,8 @@ struct CampaignSpec {
 };
 
 /// Parses the spec text; throws std::invalid_argument with a line-number
-/// diagnostic on malformed input.
+/// diagnostic on malformed input. Count fields take unsigned decimal
+/// integers: a leading '-' or a value past 2^64 - 1 is malformed.
 CampaignSpec parse_campaign_spec(const std::string& text);
 
 /// Reads and parses a spec file; throws std::runtime_error when the file

@@ -99,7 +99,9 @@ class FaultPlan {
   /// exact (bitwise) round trip.
   std::string serialize() const;
   /// Parses serialize() output; throws std::invalid_argument (with a line
-  /// number) on malformed input.
+  /// number) on malformed input. Times and durations must be finite and
+  /// >= 0, magnitudes finite, and seed and target unsigned integers in
+  /// range (no sign, no wrap-around), so a parsed plan always round-trips.
   static FaultPlan deserialize(const std::string& text);
 
   bool operator==(const FaultPlan&) const = default;

@@ -49,6 +49,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -101,6 +102,10 @@ class ShardedSimulation {
   /// Runs lookahead windows until every LP's next event is past `until`
   /// (then advances each LP's clock to `until`, emitting any sampling
   /// tails). Returns the number of events executed across all LPs.
+  /// If events throw, every LP still finishes the window, and once all
+  /// lanes are at the barrier the exception of the lowest-numbered LP
+  /// that threw propagates: the same exception and the same LP states at
+  /// any thread count (DESIGN.md section 12).
   std::size_t run_until(Time until);
 
   /// Runs until every LP queue and every mailbox drains.
@@ -127,6 +132,7 @@ class ShardedSimulation {
     Simulation sim;
     std::vector<Message> outbox;  // appended only by the lane running it
     std::uint64_t next_send_seq = 0;
+    std::exception_ptr error;  // what its window threw; cleared at barrier
   };
 
   std::size_t lane_of(std::size_t lp) const noexcept {

@@ -32,7 +32,11 @@
 // "One event queue" has the measurements behind keeping only this one).
 // run()/run_until() drain equal-time events in batches: all records at the
 // front timestamp leave the heap before the first of them fires, so heap
-// pops never interleave with action side effects.
+// pops never interleave with action side effects. A cancelled event leaves
+// a tombstone record behind; once the heap holds more than twice the live
+// events plus a constant slack, the cancel that crossed the line drops
+// every tombstone in one pass, so the queue and slot pool stay
+// proportional to the live set however often timers are re-armed.
 
 #include <algorithm>
 #include <atomic>
@@ -419,6 +423,8 @@ class Simulation {
   bool slot_pending(std::uint32_t slot,
                     std::uint64_t generation) const noexcept;
   bool cancel_slot(std::uint32_t slot, std::uint64_t generation) noexcept;
+  /// Releases every tombstone in heap_ and re-heapifies the survivors.
+  void compact_queue() noexcept;
   void note_alloc_event() noexcept;
   /// Nonzero token identifying the calling thread (hash of thread::id).
   static std::size_t this_thread_token() noexcept {

@@ -1,6 +1,7 @@
 #include "atlarge/exp/campaign.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -44,9 +45,12 @@ std::vector<std::string> tokenize(const std::string& line) {
 
 std::uint64_t parse_u64(const std::string& tok, std::size_t line,
                         const char* what) {
+  // strtoull negates a leading '-' modulo 2^64 ("-1" reads as 2^64 - 1)
+  // and saturates past 2^64 - 1; both are spec errors here.
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0')
+  if (tok[0] == '-' || end == tok.c_str() || *end != '\0' || errno == ERANGE)
     spec_error(line, std::string("bad ") + what + " '" + tok + "'");
   return static_cast<std::uint64_t>(v);
 }

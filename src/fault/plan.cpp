@@ -1,9 +1,11 @@
 #include "atlarge/fault/fault.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -33,20 +35,28 @@ std::string format_exact(double v) {
                               ": " + what);
 }
 
+/// A finite double (strtod also reads "inf" and "nan"); with
+/// `non_negative`, one that is >= 0 as well.
 double parse_double(const std::string& tok, std::size_t line,
-                    const char* what) {
+                    const char* what, bool non_negative) {
   char* end = nullptr;
   const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || *end != '\0')
+  if (end == tok.c_str() || *end != '\0' || !std::isfinite(v) ||
+      (non_negative && v < 0.0))
     parse_error(line, std::string("bad ") + what + " '" + tok + "'");
   return v;
 }
 
-std::uint64_t parse_u64(const std::string& tok, std::size_t line,
-                        const char* what) {
+/// An unsigned integer no larger than `max`. strtoull negates a leading
+/// '-' modulo 2^64 ("-1" reads as 2^64 - 1) and saturates past 2^64 - 1;
+/// both are errors here.
+std::uint64_t parse_uint(const std::string& tok, std::size_t line,
+                         const char* what, std::uint64_t max) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0')
+  if (tok[0] == '-' || end == tok.c_str() || *end != '\0' ||
+      errno == ERANGE || v > max)
     parse_error(line, std::string("bad ") + what + " '" + tok + "'");
   return static_cast<std::uint64_t>(v);
 }
@@ -194,20 +204,22 @@ FaultPlan FaultPlan::deserialize(const std::string& text) {
     }
     if (tokens[0] == "seed") {
       if (tokens.size() != 2) parse_error(lineno, "seed takes one value");
-      plan.seed_ = parse_u64(tokens[1], lineno, "seed");
+      plan.seed_ = parse_uint(tokens[1], lineno, "seed",
+                              std::numeric_limits<std::uint64_t>::max());
     } else if (tokens[0] == "event") {
       if (tokens.size() != 6)
         parse_error(lineno,
                     "event takes <time> <kind> <target> <duration> "
                     "<magnitude>");
       FaultEvent e;
-      e.time = parse_double(tokens[1], lineno, "time");
+      e.time = parse_double(tokens[1], lineno, "time", true);
       if (!fault_kind_from_string(tokens[2], e.kind))
         parse_error(lineno, "unknown fault kind '" + tokens[2] + "'");
-      e.target =
-          static_cast<std::uint32_t>(parse_u64(tokens[3], lineno, "target"));
-      e.duration = parse_double(tokens[4], lineno, "duration");
-      e.magnitude = parse_double(tokens[5], lineno, "magnitude");
+      e.target = static_cast<std::uint32_t>(
+          parse_uint(tokens[3], lineno, "target",
+                     std::numeric_limits<std::uint32_t>::max()));
+      e.duration = parse_double(tokens[4], lineno, "duration", true);
+      e.magnitude = parse_double(tokens[5], lineno, "magnitude", false);
       if (e.time < last_time)
         parse_error(lineno, "events out of time order");
       last_time = e.time;

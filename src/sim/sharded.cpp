@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <exception>
 #include <limits>
 
 namespace atlarge::sim {
@@ -72,6 +73,10 @@ void ShardedSimulation::deliver_mailboxes() {
 // in parallel, one lane per (lp mod lanes) with stable worker affinity.
 // An LP with nothing in the window still gets its clock advanced to the
 // bound (and its sampling boundaries emitted) by run_until's idle path.
+// A lane catches whatever its LPs throw and goes on with its next LP, so
+// every LP runs the same window at any thread count; after the barrier
+// the coordinator rethrows the exception of the lowest-numbered LP that
+// threw.
 std::size_t ShardedSimulation::run_window(Time window_until) {
   ++windows_;
   executing_ = true;
@@ -79,10 +84,14 @@ std::size_t ShardedSimulation::run_window(Time window_until) {
   auto lane_job = [this, window_until](std::size_t lane) {
     std::size_t fired = 0;
     for (std::size_t i = lane; i < lps_.size(); i += lanes_) {
-      Simulation& sim = lps_[i]->sim;
-      sim.bind_owner_thread();
-      fired += sim.run_until(window_until);
-      sim.clear_owner_thread();
+      Lp& lp = *lps_[i];
+      lp.sim.bind_owner_thread();
+      try {
+        fired += lp.sim.run_until(window_until);
+      } catch (...) {
+        lp.error = std::current_exception();
+      }
+      lp.sim.clear_owner_thread();
     }
     lane_executed_[lane] = fired;
   };
@@ -93,6 +102,12 @@ std::size_t ShardedSimulation::run_window(Time window_until) {
   lane_job(0);
   pool_.wait_idle();
   executing_ = false;
+  std::exception_ptr error;
+  for (auto& lp : lps_) {
+    if (!error) error = lp->error;
+    lp->error = nullptr;
+  }
+  if (error) std::rethrow_exception(error);
   std::size_t fired = 0;
   for (const std::size_t n : lane_executed_) fired += n;
   return fired;

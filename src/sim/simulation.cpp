@@ -9,6 +9,12 @@
 
 namespace atlarge::sim {
 
+namespace {
+// cancel_slot compacts the queue once heap_ holds more than
+// 2 * live + kTombstoneSlack records (see compact_queue).
+constexpr std::size_t kTombstoneSlack = 64;
+}  // namespace
+
 // Out of line so EventSlot destructors (which may destroy arena-resident
 // payloads) run before arena_ — guaranteed by member order: arena_ is
 // declared first, so it is destroyed last.
@@ -36,10 +42,53 @@ bool Simulation::cancel_slot(std::uint32_t slot,
   EventSlot& s = slots_[slot];
   s.live = false;
   destroy_payload(s);  // drop captured state eagerly; the queue record
-                       // stays behind as a tombstone reclaimed on pop
+                       // stays behind as a tombstone until it is popped
+                       // or compacted away
   --live_;
   if (observer_ != nullptr) observer_->on_cancel(now_, live_);
+  if (heap_.size() > 2 * live_ + kTombstoneSlack) compact_queue();
   return true;
+}
+
+// Drops every cancelled tombstone from heap_, recycling its slot (the
+// generation bump kills stale handles, and the slot's payload block
+// returns with it to the free list), then rebuilds the 4-ary heap in
+// place with Floyd's bottom-up construction. Without this a tombstone
+// holds its slot until its timestamp is popped, so a timer re-armed far
+// ahead on every event (a serverless keep-alive) grows the queue with
+// the number of cancels instead of the live set. cancel_slot calls it
+// only when more than half of heap_ is tombstones, so one pass costs
+// O(1) amortised per cancel. Records are a strict total order on
+// (time, seq, slot), so every heap over the survivors pops them in the
+// same order: compaction never changes which event fires next. The
+// batch run_batch is executing sits outside heap_ and is left alone.
+void Simulation::compact_queue() noexcept {
+  std::size_t n = 0;
+  for (const QueueRecord rec : heap_) {
+    const std::uint32_t slot = record_slot(rec);
+    if (slots_[slot].live)
+      heap_[n++] = rec;
+    else
+      release_slot(slot);
+  }
+  heap_.resize(n);
+  if (n < 2) return;
+  for (std::size_t top = ((n - 2) >> 2) + 1; top-- > 0;) {
+    const QueueRecord rec = heap_[top];
+    std::size_t i = top;
+    for (;;) {
+      const std::size_t first = (i << 2) + 1;
+      if (first >= n) break;
+      const std::size_t last = std::min(first + 4, n);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < last; ++c)
+        if (heap_[c] < heap_[best]) best = c;
+      if (rec < heap_[best]) break;
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = rec;
+  }
 }
 
 void Simulation::note_alloc_event() noexcept {
@@ -66,18 +115,21 @@ std::uint32_t Simulation::acquire_slot() {
 
 void Simulation::destroy_payload(EventSlot& s) noexcept {
   if (s.ops == nullptr) return;
-  void* const payload =
-      s.heap_payload != nullptr ? s.heap_payload : s.block;
-  s.ops->destroy(payload);
-  if (s.heap_payload != nullptr) {
-    if (s.payload_class != 0)
-      arena_.deallocate(s.heap_payload, s.payload_class);
-    else
-      ::operator delete(s.heap_payload);
-  }
+  // Disown before destroying: a destructor that cancels another event
+  // may compact the queue, and that pass must see this slot as empty.
+  const detail::PayloadOps* const ops = s.ops;
+  void* const heap_payload = s.heap_payload;
+  const std::uint32_t cls = s.payload_class;
   s.ops = nullptr;
   s.heap_payload = nullptr;
   s.payload_class = 0;
+  ops->destroy(heap_payload != nullptr ? heap_payload : s.block);
+  if (heap_payload != nullptr) {
+    if (cls != 0)
+      arena_.deallocate(heap_payload, cls);
+    else
+      ::operator delete(heap_payload);
+  }
 }
 
 void Simulation::release_slot(std::uint32_t slot) noexcept {

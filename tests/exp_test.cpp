@@ -11,13 +11,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "atlarge/exp/adapter.hpp"
 #include "atlarge/exp/engine.hpp"
 #include "atlarge/obs/observability.hpp"
+#include "fuzz_util.hpp"
 #include "golden_util.hpp"
 
 namespace {
@@ -118,6 +121,63 @@ TEST(CampaignSpec, ErrorsCarryLineNumbers) {
                std::invalid_argument);  // missing domain
   EXPECT_THROW(exp::parse_campaign_spec("domain p2p\nwibble 3\n"),
                std::invalid_argument);  // unknown keyword
+  // Signed or out-of-range counts are errors on their own line, not
+  // values wrapped modulo 2^64 (threads -1 used to reach the runner as
+  // 2^64 - 1 threads and die in vector::reserve).
+  for (const char* bad :
+       {"threads -1", "repeats -1", "trials -3", "top -2", "seed -5",
+        "seed 18446744073709551616", "threads 99999999999999999999"}) {
+    try {
+      exp::parse_campaign_spec(std::string("domain p2p\n") + bad + "\n");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(CampaignSpec, MutationFuzzParsesOrThrowsInvalidArgument) {
+  // Seeded mutation fuzz: 5,000 byte flips, truncations, repeated lines
+  // and hostile-token swaps of a spec that uses every keyword. Every parse
+  // must return a spec or throw std::invalid_argument; any other
+  // exception, crash or sanitizer report fails the test, and so does a
+  // parsed spec outside the bounds the parser promises.
+  const std::string base =
+      "campaign fuzz  # every keyword once\n"
+      "domain serverless\n"
+      "mode grid\n"
+      "repeats 3\n"
+      "seed 7\n"
+      "scale 0.5\n"
+      "trials 12\n"
+      "threads 4\n"
+      "top 6\n"
+      "dim keep_alive 60 600\n"
+      "dim faults.rate 0 8 40\n";
+  const std::vector<std::string> hostile = {
+      "-1", "-0", "+3", "0", "18446744073709551615",
+      "18446744073709551616", "99999999999999999999", "nan", "inf",
+      "1e999", "-0.5", "0x10", "1.5", "#", "domain", "dim", "mode", ""};
+  std::mt19937_64 rng(20261017);
+  int parsed = 0, rejected = 0;
+  for (int iter = 0; iter < 5'000; ++iter) {
+    const std::string text = fuzz::mutate_text(base, iter, rng, hostile);
+    try {
+      const exp::CampaignSpec spec = exp::parse_campaign_spec(text);
+      EXPECT_FALSE(spec.domain.empty()) << text;
+      EXPECT_GE(spec.repeats, 1u) << text;
+      EXPECT_GE(spec.trials, 1u) << text;
+      EXPECT_GE(spec.threads, 1u) << text;
+      EXPECT_GE(spec.top_k, 1u) << text;
+      EXPECT_TRUE(spec.scale > 0.0 && spec.scale <= 1.0) << text;
+      ++parsed;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(parsed, 500);
+  EXPECT_GT(rejected, 500);
 }
 
 // ----------------------------------------------------------- bound space --

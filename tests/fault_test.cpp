@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "atlarge/fault/injector.hpp"
 #include "atlarge/obs/observability.hpp"
 #include "atlarge/sim/simulation.hpp"
+#include "fuzz_util.hpp"
 
 namespace {
 
@@ -189,6 +191,62 @@ TEST(FaultPlanSerde, RejectsMalformedInput) {
                                       "event 5 machine_crash 0 1 0.5\n"
                                       "event 1 machine_crash 0 1 0.5\n"),
                std::invalid_argument);
+  // So are signed, out-of-range and non-finite fields, on their own line:
+  // none may wrap (target -1 read as 4294967295, seed -5 as 2^64 - 5),
+  // truncate (target 2^32 read as 0) or pass through as inf/nan.
+  for (const char* bad : {"seed -5",
+                          "seed 18446744073709551616",
+                          "event 1 machine_crash -1 1 0.5",
+                          "event 1 machine_crash 4294967296 1 0.5",
+                          "event -3 message_loss 2 1 0.5",
+                          "event 1 message_loss 2 -1 0.5",
+                          "event inf message_loss 2 1 0.5",
+                          "event 1 message_loss 2 inf 0.5",
+                          "event 1 message_loss 2 1 nan",
+                          "event -3 message_loss 2 inf nan"}) {
+    try {
+      FaultPlan::deserialize(std::string("faultplan v1\n") + bad + "\n");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The widest values each field does take still parse.
+  const FaultPlan edge = FaultPlan::deserialize(
+      "faultplan v1\nseed 18446744073709551615\n"
+      "event 0 slowdown 4294967295 0 1\n");
+  EXPECT_EQ(edge.seed(), 18446744073709551615u);
+  ASSERT_EQ(edge.size(), 1u);
+  EXPECT_EQ(edge.events()[0].target, 4294967295u);
+}
+
+TEST(FaultPlanSerde, MutationFuzzParsesOrThrowsAndRoundTrips) {
+  // Seeded mutation fuzz: 5,000 byte flips, truncations, repeated lines
+  // and hostile-token swaps of a serialized five-event plan. Every parse
+  // must return a plan or throw std::invalid_argument, and a parsed plan
+  // must survive serialize() -> deserialize() unchanged (a nan field, for
+  // one, would not).
+  const std::string base = FaultPlan::generate(base_spec(2.5, 11)).serialize();
+  ASSERT_EQ(FaultPlan::deserialize(base).size(), 5u);
+  const std::vector<std::string> hostile = {
+      "-1", "-5", "-0", "4294967295", "4294967296", "18446744073709551616",
+      "nan", "inf", "-inf", "1e999", "1e-320", "0x1p3", "slowdown",
+      "faultplan", "v1", "event", "seed", ""};
+  std::mt19937_64 rng(20261017);
+  int parsed = 0, rejected = 0;
+  for (int iter = 0; iter < 5'000; ++iter) {
+    const std::string text = fuzz::mutate_text(base, iter, rng, hostile);
+    try {
+      const FaultPlan plan = FaultPlan::deserialize(text);
+      EXPECT_EQ(FaultPlan::deserialize(plan.serialize()), plan) << text;
+      ++parsed;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(parsed, 500);
+  EXPECT_GT(rejected, 500);
 }
 
 TEST(FaultPlanSerde, ErrorsNameTheOffendingLine) {

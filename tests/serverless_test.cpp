@@ -303,6 +303,40 @@ TEST(Observability, PlatformEmitsFaasTelemetry) {
                    result.billed_instance_seconds);
 }
 
+TEST(Observability, StreamingKeepAliveChurnIsAllocationFree) {
+  // Every warm start cancels its instance's keep-alive expiry and re-arms
+  // it a minute ahead. At 20 ms between arrivals a cancelled expiry would
+  // outlive ~3,000 later requests in the kernel queue; compacted away,
+  // the streaming run stays inside the pool the platform pre-sizes and
+  // never touches the system allocator.
+  struct Steady final : sl::InvocationSource {
+    std::size_t issued = 0;
+    bool next(sl::Invocation& out) override {
+      if (issued == 100'000) return false;
+      out.function = issued % 3;
+      out.arrival = 0.02 * static_cast<double>(issued);
+      ++issued;
+      return true;
+    }
+  } source;
+  const std::vector<sl::FunctionSpec> registry = {
+      {"alpha", 0.05, 1.0, 128.0},
+      {"beta", 0.1, 1.0, 128.0},
+      {"gamma", 0.2, 1.0, 128.0}};
+  atlarge::obs::Observability plane;
+  sl::PlatformConfig config;
+  config.keep_alive = 60.0;
+  config.record_invocations = false;
+  config.obs = &plane;
+  const auto result = sl::run_platform(registry, source, config);
+
+  const auto& counters = plane.metrics.counters();
+  EXPECT_EQ(counters.at("faas.invocations").value(), 100'000u);
+  EXPECT_EQ(result.failed_invocations, 0u);
+  EXPECT_GT(counters.at("sim.events_cancelled").value(), 90'000u);
+  EXPECT_EQ(counters.at("sim.alloc_events").value(), 0u);
+}
+
 // ----------------------------------------------------- fault injection --
 
 TEST(Faults, MessageLossFailsSingleAttemptInvocation) {

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -159,6 +160,37 @@ TEST(ShardedSimulation, RunUntilAdvancesEveryLpClockToTheHorizon) {
   for (std::size_t lp = 0; lp < 3; ++lp)
     EXPECT_DOUBLE_EQ(net.lp(lp).now(), 10.0) << lp;
   EXPECT_GE(net.windows(), 1u);
+}
+
+TEST(ShardedSimulation, ThrowingEventsRethrowLowestLpAtAnyThreadCount) {
+  // LPs 1 and 3 throw inside the same window. Whichever lanes they land
+  // on, every LP finishes the window, the caller sees LP 1's exception,
+  // and the kernels stay consistent enough to resume.
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    sim::ShardOptions options;
+    options.shards = 4;
+    options.threads = threads;
+    options.lookahead = 1.0;
+    sim::ShardedSimulation net(options);
+    std::vector<int> fired(4, 0);
+    for (std::size_t lp = 0; lp < 4; ++lp) {
+      net.lp(lp).schedule_at(0.5, [&fired, lp] {
+        ++fired[lp];
+        if (lp % 2 == 1) throw std::runtime_error("lp" + std::to_string(lp));
+      });
+      net.lp(lp).schedule_at(0.75, [&fired, lp] { ++fired[lp]; });
+    }
+    try {
+      net.run();
+      ADD_FAILURE() << "expected LP 1's exception at " << threads
+                    << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "lp1") << threads << " threads";
+    }
+    EXPECT_EQ(fired, (std::vector<int>{2, 1, 2, 1})) << threads << " threads";
+    EXPECT_EQ(net.run(), 2u) << threads << " threads";
+    EXPECT_EQ(fired, (std::vector<int>{2, 2, 2, 2})) << threads << " threads";
+  }
 }
 
 TEST(ShardedSimulation, NextEventTimeReportsAndPurges) {

@@ -1,14 +1,16 @@
 // Property tests for the kernel's event queue and the batched dispatch
 // path. The contract under test: events fire in exact (time, scheduling
 // sequence) order on any schedule — ties at equal timestamps, cancelled
-// tombstones, nested scheduling, and sparse far-future schedules
-// included. The oracle is RefSim, a deliberately naive reference that
-// keeps pending events in an ordered map; the kernel's 4-ary heap, packed
-// records, slot recycling, and batching must reproduce its firing log
-// byte for byte. Alongside it, the allocation-accounting contract: a
-// reserve()-sized run touches the system allocator exactly zero times,
-// observable both through Simulation::alloc_events() and the
-// Observer::on_alloc_event mirror.
+// tombstones (popped or compacted away), nested scheduling, and sparse
+// far-future schedules included. The oracle is RefSim, a deliberately
+// naive reference that keeps pending events in an ordered map; the
+// kernel's 4-ary heap, packed records, slot recycling, and batching must
+// reproduce its firing log byte for byte. Alongside it, the
+// allocation-accounting contract: a reserve()-sized run touches the
+// system allocator exactly zero times, observable both through
+// Simulation::alloc_events() and the Observer::on_alloc_event mirror —
+// cancel churn included, since tombstones are compacted before they
+// outgrow the live set.
 
 #include <gtest/gtest.h>
 
@@ -150,6 +152,60 @@ TEST(SimQueueProperty, TiesFireInScheduleOrder) {
   EXPECT_EQ(log, want);
 }
 
+/// Keep-alive-shaped schedule, dominated by cancels: request chains for
+/// a handful of entities, where every request cancels its entity's
+/// expiry timer and re-arms it 5-30 s ahead (a serverless warm start).
+/// Requests and timers share a 0.25 s grid, so equal-time batches mix
+/// requests, expiries and cancels of records already pulled into the
+/// batch, and tombstones outnumber live events by enough that the kernel
+/// compacts its queue 52 times in a 4,000-request run (4 times in a
+/// 300-request one).
+template <class Sim>
+std::string keepalive_script(std::uint64_t seed, std::size_t requests) {
+  Sim sim;
+  atlarge::stats::Rng rng(seed);
+  std::string log;
+  constexpr std::size_t kEntities = 6;
+  std::vector<decltype(sim.schedule_at(0.0, [] {}))> timers;
+  const auto grid = [&rng](int lo, int hi) {
+    return 0.25 * static_cast<double>(rng.uniform_int(lo, hi));
+  };
+  const auto expire = [&log, &sim](std::size_t e) {
+    return [&log, &sim, e] {
+      log += "e" + std::to_string(e) + "@" + exact(sim.now()) + ";";
+    };
+  };
+  std::size_t remaining = requests;
+  std::function<void(std::size_t)> request = [&](std::size_t e) {
+    log += "r" + std::to_string(e) + "@" + exact(sim.now()) + ";";
+    if (timers[e].cancel()) log += "x" + std::to_string(e) + ";";
+    timers[e] = sim.schedule_after(grid(20, 120), expire(e));
+    if (remaining == 0) return;
+    --remaining;
+    sim.schedule_after(grid(0, 2), [&request, e] { request(e); });
+  };
+  for (std::size_t e = 0; e < kEntities; ++e) {
+    timers.push_back(sim.schedule_at(grid(0, 8), expire(e)));
+    sim.schedule_at(grid(0, 8), [&request, e] { request(e); });
+  }
+  sim.run();
+  EXPECT_EQ(sim.pending(), 0u);
+  return log;
+}
+
+TEST(SimQueueProperty, KeepAliveCancelChurnMatchesReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const std::size_t requests : {300u, 4000u}) {
+      const std::string kernel_log =
+          keepalive_script<Simulation>(seed, requests);
+      ASSERT_EQ(kernel_log, keepalive_script<RefSim>(seed, requests))
+          << "kernel diverged from the reference at seed=" << seed
+          << " requests=" << requests;
+      ASSERT_NE(kernel_log.find('x'), std::string::npos);
+    }
+  }
+}
+
 /// Times spanning twelve orders of magnitude: the packed records compare
 /// time by IEEE-754 bit pattern, which must order exactly like the
 /// reference's double comparison across every exponent.
@@ -284,6 +340,43 @@ TEST(SimQueueAlloc, ReservedHeapSteadyStateIsAllocationFree) {
   EXPECT_EQ(remaining, 0u);
   EXPECT_EQ(sim.alloc_events(), 0u)
       << "a pre-sized steady-state run touched the system allocator";
+}
+
+/// Keep-alive re-arming: every tick cancels one of `timers` and re-arms
+/// it a minute ahead, so at the 10 ms tick period each cancelled record
+/// would otherwise linger in the queue for 6,000 ticks.
+struct Rearmer {
+  Simulation* sim;
+  std::vector<EventHandle>* timers;
+  std::uint64_t* remaining;
+  std::uint64_t* cancelled;
+  void operator()() const {
+    if (*remaining == 0) return;
+    --*remaining;
+    EventHandle& timer = (*timers)[*remaining % timers->size()];
+    if (timer.cancel()) ++*cancelled;
+    timer = sim->schedule_after(60.0, [] {});
+    sim->schedule_after(0.01, *this);
+  }
+};
+
+TEST(SimQueueAlloc, CancelChurnStaysWithinReserve) {
+  // At most N/4 live events, far more than N cancels: tombstones are
+  // compacted away before they outgrow the live set, so the queue and slot
+  // pool never leave the reserve.
+  constexpr std::size_t kReserve = 512;
+  Simulation sim;
+  sim.reserve(kReserve);
+  std::vector<EventHandle> timers(kReserve / 4 - 1);
+  for (EventHandle& timer : timers) timer = sim.schedule_after(60.0, [] {});
+  std::uint64_t remaining = 100 * kReserve;
+  std::uint64_t cancelled = 0;
+  sim.schedule_at(0.0, Rearmer{&sim, &timers, &remaining, &cancelled});
+  sim.run();
+  EXPECT_EQ(remaining, 0u);
+  EXPECT_EQ(cancelled, 100 * kReserve);
+  EXPECT_EQ(sim.alloc_events(), 0u)
+      << "cancelled timers grew the queue past the reserve";
 }
 
 TEST(SimQueueAlloc, ObserverMirrorsAllocEvents) {

@@ -226,6 +226,71 @@ TEST(Simulation, CancelledHandleCannotResurrectReusedSlot) {
   EXPECT_EQ(second, 1);
 }
 
+TEST(Simulation, CompactedHandleCannotResurrectReusedSlot) {
+  // The same contract when compaction, not a pop, recycles the slot: once
+  // cancels leave the queue mostly tombstones, the cancel that crosses the
+  // line frees every tombstone's slot without running the simulation.
+  sim::Simulation s;
+  s.reserve(128);
+  int first = 0;
+  int second = 0;
+  auto stale = s.schedule_at(1.0, [&] { ++first; });
+  std::vector<sim::EventHandle> doomed;
+  for (int i = 0; i < 99; ++i)
+    doomed.push_back(s.schedule_at(1.0, [&] { ++first; }));
+  EXPECT_TRUE(stale.cancel());
+  for (auto& handle : doomed) EXPECT_TRUE(handle.cancel());
+  // Refill the recycled slots, stale's among them. Slots reused rather
+  // than grown keep the pool inside the reserve.
+  std::vector<sim::EventHandle> fresh;
+  for (int i = 0; i < 100; ++i)
+    fresh.push_back(s.schedule_at(2.0, [&] { ++second; }));
+  EXPECT_EQ(s.alloc_events(), 0u);
+  EXPECT_FALSE(stale.pending());
+  EXPECT_FALSE(stale.cancel());  // must not kill the event reusing the slot
+  for (const auto& handle : fresh) EXPECT_TRUE(handle.pending());
+  s.run();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 100);
+}
+
+TEST(Simulation, PayloadDestructorMayCancelWhileQueueCompacts) {
+  // Cancelling event i destroys its payload, whose destructor cancels
+  // event i+1: a 100-deep chain of nested cancels. The compaction that
+  // fires while those destructors unwind finds the outer slots still
+  // mid-destroy; it must recycle them without destroying their payloads
+  // a second time.
+  struct CancelOnDestroy {
+    sim::EventHandle* victim;
+    int* destroyed;
+    CancelOnDestroy(sim::EventHandle* v, int* d) : victim(v), destroyed(d) {}
+    CancelOnDestroy(CancelOnDestroy&& other) noexcept
+        : victim(other.victim), destroyed(other.destroyed) {
+      other.destroyed = nullptr;  // moved-from: destroying it is silent
+    }
+    ~CancelOnDestroy() {
+      if (destroyed == nullptr) return;
+      ++*destroyed;
+      if (victim != nullptr) victim->cancel();
+    }
+    void operator()() const {}
+  };
+  sim::Simulation s;
+  std::vector<sim::EventHandle> handles(100);
+  int destroyed = 0;
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    sim::EventHandle* victim =
+        i + 1 < handles.size() ? &handles[i + 1] : nullptr;
+    handles[i] = s.schedule_at(1.0, CancelOnDestroy(victim, &destroyed));
+  }
+  EXPECT_TRUE(handles[0].cancel());
+  EXPECT_EQ(destroyed, 100);
+  EXPECT_EQ(s.pending(), 0u);
+  for (const auto& handle : handles) EXPECT_FALSE(handle.pending());
+  EXPECT_EQ(s.run(), 0u);
+  EXPECT_EQ(destroyed, 100);
+}
+
 TEST(Simulation, FiredHandleCannotCancelReusedSlot) {
   sim::Simulation s;
   int second = 0;
