@@ -10,9 +10,11 @@
 //   --sharded [--shards=N --threads=M]   layout-invariant summary of the
 //       canonical bound ecosystem on stdout; the eco-smoke CI job diffs
 //       an 8-shard run against the unsharded output.
-//   --replay=<scenario> [--max-events=N] replay a trace::catalog scenario
-//       through the eco engine (eco-faas-vs-reserved); stdout is the
-//       ReplaySummary text diffed against the committed golden.
+//   --workload=<scenario|file.atl> [--max-events=N]  the shared replay
+//       driver (workload_mode.hpp); a .atl file replays through the
+//       eco-faas-vs-reserved scenario's engine. stdout is the
+//       ReplaySummary text; the eco-smoke CI job diffs the
+//       eco-faas-vs-reserved replay against the committed golden.
 //   --trace/--metrics-out                instrumented run exporting the
 //       span timeline / metrics registry as JSON.
 
@@ -24,9 +26,9 @@
 #include "atlarge/obs/observability.hpp"
 #include "atlarge/serverless/platform.hpp"
 #include "atlarge/stats/rng.hpp"
-#include "atlarge/trace/catalog.hpp"
 #include "atlarge/workflow/generators.hpp"
 #include "bench_util.hpp"
+#include "workload_mode.hpp"
 
 using namespace atlarge;
 
@@ -113,24 +115,6 @@ void sharded_mode(int argc, char** argv) {
                static_cast<unsigned long long>(spec.threads));
 }
 
-/// `--replay=<scenario>`: catalog replay through the eco engine; the
-/// eco-smoke CI job diffs this against the committed golden summary.
-int replay_mode(const std::string& name, int argc, char** argv) {
-  const trace::catalog::Scenario* scenario =
-      trace::catalog::find(name.c_str());
-  if (scenario == nullptr) {
-    std::fprintf(stderr, "unknown scenario '%s'\n", name.c_str());
-    return 2;
-  }
-  trace::catalog::ReplayOptions options;
-  options.max_events = static_cast<std::size_t>(
-      bench::u64_flag(argc, argv, "--max-events", 8'000));
-  const auto summary = trace::catalog::replay_generated(
-      *scenario, scenario->default_seed, options);
-  std::fputs(summary.text().c_str(), stdout);
-  return 0;
-}
-
 void study_composition() {
   bench::header("Ecosystem composition: three domains, one fabric");
   const auto isolated = eco::run_ecosystem(identity_spec());
@@ -209,8 +193,7 @@ bool has_flag(int argc, char** argv, const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string replay = bench::flag_value(argc, argv, "--replay");
-  if (!replay.empty()) return replay_mode(replay, argc, argv);
+  if (bench::workload_mode(argc, argv, "eco-faas-vs-reserved")) return 0;
   if (has_flag(argc, argv, "--sharded")) {
     sharded_mode(argc, argv);
     return 0;

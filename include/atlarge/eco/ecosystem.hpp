@@ -86,7 +86,10 @@ struct ServerlessSpec {
   bool enabled = false;
   ServerlessBacking backing = ServerlessBacking::kAbstract;
   std::vector<serverless::FunctionSpec> registry;
-  std::vector<serverless::Invocation> invocations;  // sorted by arrival
+  /// run_platform's precondition (nonnegative, nondecreasing arrivals;
+  /// indices inside `registry`); a violation throws std::invalid_argument
+  /// from run() when the platform pulls it, mid-run on any layout.
+  std::vector<serverless::Invocation> invocations;
   /// Platform knobs. `config.obs` and `config.faults` are overridden by
   /// the ecosystem-level plane/plan; set those on EcosystemSpec instead.
   serverless::PlatformConfig config;

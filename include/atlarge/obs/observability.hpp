@@ -7,10 +7,10 @@
 // Observability object bundles a metrics Registry and a span Tracer, plus
 // the KernelObserver that bridges the DES kernel's Observer hook onto
 // both. Domain simulators accept an optional `obs::Observability*` in
-// their config/options structs; when set they attach the kernel observer
-// to their internal Simulation and emit their own domain-level spans and
-// metrics into the same plane, so an exported trace shows kernel and
-// domain activity on one timeline.
+// their config/options structs; when set, the owner of the run's kernel
+// wires the plane into it with attach(), and the engines emit their own
+// domain-level spans and metrics into the same plane, so an exported
+// trace shows kernel and domain activity on one timeline.
 //
 // The plane also anchors the *continuous* telemetry layer: an attached
 // TimeSeries, SloMonitor, and FlightRecorder ride the kernel's sampling
@@ -108,12 +108,23 @@ class Observability {
   /// The observer to pass to sim::Simulation::set_observer.
   sim::Observer* kernel_observer() noexcept { return &kernel_; }
 
+  /// Wires the plane into `sim`: the kernel observer, plus the sampling
+  /// hook when a continuous component is attached. Whoever owns a kernel
+  /// calls this once before running it — the standalone wrappers
+  /// (sched::simulate, serverless::run_platform, autoscale::run_elastic)
+  /// on their private kernel, eco::Ecosystem on its core LP. Engines that
+  /// borrow a kernel only emit domain spans and metrics.
+  void attach(sim::Simulation& sim) {
+    sim.set_observer(&kernel_);
+    if (sim::SamplingHook* hook = sampling_hook())
+      sim.set_sampling_hook(hook, sampling_interval());
+  }
+
   // ----------------------------------------------------- telemetry plane --
   // Continuous components (none owned; each must outlive the plane or be
-  // detached with nullptr). Domain engines that honor `obs` in their
-  // config attach sampling_hook() to their kernel when it is non-null, so
-  // attaching a TimeSeries or SloMonitor here is all a caller does to get
-  // continuous telemetry out of any domain run.
+  // detached with nullptr). attach() hands sampling_hook() to the kernel
+  // when it is non-null, so attaching a TimeSeries or SloMonitor here is
+  // all a caller does to get continuous telemetry out of any domain run.
 
   /// Attach a time-series recorder; its rows advance at every sampling
   /// boundary. When no explicit sampling interval is set, the recorder's
@@ -152,8 +163,8 @@ class Observability {
   }
 
   /// The hook to pass to sim::Simulation::set_sampling_hook, or nullptr
-  /// when no continuous component is attached (so domains skip the kernel
-  /// sampling machinery entirely on plain metric/trace planes).
+  /// when no continuous component is attached (so attach() skips the
+  /// kernel sampling machinery entirely on plain metric/trace planes).
   sim::SamplingHook* sampling_hook() noexcept {
     return series_ != nullptr || slo_ != nullptr ? &hub_ : nullptr;
   }

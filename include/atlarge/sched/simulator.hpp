@@ -96,11 +96,11 @@ struct SimOptions {
   /// Hard stop; jobs not finished by then are excluded from job stats but
   /// counted in utilization.
   double time_limit = std::numeric_limits<double>::infinity();
-  /// Optional instrumentation plane (not owned, may be null): attaches
-  /// the kernel observer to the internal Simulation and emits
-  /// scheduler-level spans ("sched.simulate", per-pass "sched.pass") and
-  /// metrics (sched.passes, sched.tasks_placed, sched.eligible_queue, and
-  /// a sched.task_wait registry digest). When the plane carries a
+  /// Optional instrumentation plane (not owned, may be null), attached to
+  /// the kernel by its owner: it receives scheduler-level spans
+  /// ("sched.simulate", per-pass "sched.pass") and metrics (sched.passes,
+  /// sched.tasks_placed, sched.eligible_queue, and a sched.task_wait
+  /// registry digest). When the plane carries a
   /// TimeSeries or SloMonitor, its sampling hook is attached to the
   /// kernel; when it carries a FlightRecorder, per-machine rings record
   /// place/complete/crash/requeue events with causal links.
@@ -123,12 +123,12 @@ namespace detail {
 class SchedEngine;
 }
 
-/// Composable form of the scheduling simulator: the same engine `simulate`
-/// runs, but driven by an externally owned kernel so several domain
-/// simulators can share one clock (eco::Ecosystem). The driver schedules
-/// its arrivals and fault hooks in prepare(), the caller runs the shared
-/// kernel, and collect() finalizes the result. With no seam calls the
-/// event stream is byte-identical to a standalone simulate() run.
+/// The scheduling engine on a borrowed kernel — `simulate` is this engine
+/// on a private kernel — so several domain simulators share one clock
+/// (eco::Ecosystem). prepare() schedules arrivals and fault hooks, the
+/// caller runs the kernel, and collect() finalizes the result. The
+/// kernel's owner, not the driver, attaches options.obs to it. With no
+/// seam calls the event stream is byte-identical to a simulate() run.
 ///
 /// The reserve/release seam lets a co-tenant (the eco cluster fabric)
 /// take cores out of the scheduler's machines while it holds leases on

@@ -41,14 +41,13 @@ struct PlatformConfig {
   std::uint32_t max_instances = 1'000;  // platform-wide concurrency cap
   /// Pre-warmed instances per function at t=0 (0 = pure scale-from-zero).
   std::uint32_t prewarmed = 0;
-  /// Optional instrumentation plane (not owned, may be null): attaches
-  /// the kernel observer, wraps the run in a "faas.run" span, marks cold
-  /// starts and queueing as instants, and records invocation counters,
-  /// a live-instances gauge, and a "faas.latency" registry digest. When
-  /// the plane carries a TimeSeries or SloMonitor, its sampling hook is
-  /// attached to the kernel; when it carries a FlightRecorder,
-  /// per-function rings record invoke/cold_start/queue/fail events with
-  /// causal links.
+  /// Optional instrumentation plane (not owned, may be null), attached to
+  /// the kernel by its owner: the run gets a "faas.run" span, cold starts
+  /// and queueing as instants, invocation counters, a live-instances
+  /// gauge, and a "faas.latency" registry digest. When the plane carries a
+  /// TimeSeries or SloMonitor, its sampling hook is attached to the
+  /// kernel; when it carries a FlightRecorder, per-function rings record
+  /// invoke/cold_start/queue/fail events with causal links.
   obs::Observability* obs = nullptr;
   /// Optional fault plan (not owned, may be null), replayed through the
   /// kernel fault hook. The platform interprets kMessageLoss (requests
@@ -117,11 +116,10 @@ struct PlatformResult {
   std::size_t capacity_denials = 0;
 };
 
-/// Pull-source of invocations in nondecreasing arrival order. The
-/// streaming run_platform overload drains one of these lazily — the next
-/// invocation is pulled only when the previous one's arrival fires — so a
-/// trace-backed source (e.g. trace::catalog's event adapter over a chunked
-/// .atl reader) replays with bounded memory.
+/// Pull-source of invocations: the one way invocations enter the platform
+/// engine. The next invocation is pulled only when the previous one's
+/// arrival fires, so a trace-backed source (e.g. trace::catalog's event
+/// adapter over a chunked .atl reader) replays with bounded memory.
 class InvocationSource {
  public:
   virtual ~InvocationSource() = default;
@@ -129,14 +127,17 @@ class InvocationSource {
   virtual bool next(Invocation& out) = 0;
 };
 
-/// Simulates the invocations (sorted by arrival) against the platform.
+/// Simulates the invocations against the platform through a cursor
+/// source. Arrivals must be nonnegative and nondecreasing and function
+/// indices inside `registry`; the first invocation that is not throws
+/// std::invalid_argument when pulled, which is mid-run unless it is first.
 PlatformResult run_platform(const std::vector<FunctionSpec>& registry,
                             const std::vector<Invocation>& invocations,
                             const PlatformConfig& config);
 
-/// Streaming variant: pulls invocations lazily from `source` (arrivals
-/// must be nondecreasing; throws std::invalid_argument otherwise).
-/// Completed requests release their bookkeeping slot, so with
+/// Streaming form, same precondition and exception: pulls invocations
+/// lazily from `source`. Completed requests release their bookkeeping
+/// slot, so with
 /// config.record_invocations == false the platform's memory is bounded by
 /// the number of in-flight requests, not the trace length.
 PlatformResult run_platform(const std::vector<FunctionSpec>& registry,
@@ -167,19 +168,22 @@ class InstanceBacking {
 
 namespace detail {
 class FaasEngine;
+class VectorSource;
 }
 
-/// Composable form of the platform: the same engine run_platform uses, but
-/// scheduled onto an externally owned kernel so several domain simulators
-/// share one clock (eco::Ecosystem). prepare() schedules prewarm pools,
-/// fault hooks, and arrivals; the caller runs the shared kernel past the
-/// platform's quiescence; collect() finalizes. With a null backing and no
-/// fail_machine calls the per-domain event stream is byte-identical to a
-/// standalone run_platform run.
+/// The platform engine on a borrowed kernel — run_platform is this engine
+/// on a private kernel — so several domain simulators share one clock
+/// (eco::Ecosystem). prepare() schedules prewarm pools, fault hooks, and
+/// the first arrival; the caller runs the kernel past the platform's
+/// quiescence; collect() finalizes. The kernel's owner, not the driver,
+/// attaches config.obs to it. With a null backing and no fail_machine
+/// calls the per-domain event stream is byte-identical to a run_platform
+/// run.
 class PlatformDriver {
  public:
-  /// All referenced objects must outlive the driver. `invocations` must be
-  /// sorted by arrival.
+  /// All referenced objects must outlive the driver. `invocations` has
+  /// run_platform's precondition; a violation throws
+  /// std::invalid_argument from prepare() or from the kernel's run.
   PlatformDriver(const std::vector<FunctionSpec>& registry,
                  const std::vector<Invocation>& invocations,
                  const PlatformConfig& config, sim::Simulation& sim,
@@ -188,7 +192,7 @@ class PlatformDriver {
   PlatformDriver(const PlatformDriver&) = delete;
   PlatformDriver& operator=(const PlatformDriver&) = delete;
 
-  /// Schedules prewarm pools, fault hooks, and invocation arrivals.
+  /// Schedules prewarm pools, fault hooks, and the first arrival.
   void prepare();
   /// Finalizes statistics after the shared kernel has run. Correct as
   /// long as the kernel ran past the platform's last invocation finish;
@@ -203,6 +207,7 @@ class PlatformDriver {
   void fail_machine(std::uint32_t machine);
 
  private:
+  std::unique_ptr<detail::VectorSource> source_;  // cursor on invocations
   std::unique_ptr<detail::FaasEngine> engine_;
 };
 

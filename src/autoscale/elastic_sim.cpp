@@ -74,10 +74,7 @@ class ElasticEngine {
 
   ElasticResult run() {
     if (obs_ != nullptr) {
-      sim_.set_observer(obs_->kernel_observer());
-      if (obs_->sampling_hook() != nullptr)
-        sim_.set_sampling_hook(obs_->sampling_hook(),
-                               obs_->sampling_interval());
+      obs_->attach(sim_);
       obs_->tracer.begin("autoscale.run", "autoscale", sim_.now());
     }
     // Pre-size the kernel: one arrival per job, one completion per

@@ -428,9 +428,7 @@ struct EcoEngine {
 
     obs::Observability* plane = spec.obs;
     if (plane != nullptr) {
-      core.set_observer(plane->kernel_observer());
-      if (auto* hook = plane->sampling_hook())
-        core.set_sampling_hook(hook, plane->sampling_interval());
+      plane->attach(core);
       plane->tracer.begin("eco.run", "eco", 0.0);
     }
 

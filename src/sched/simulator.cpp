@@ -63,24 +63,13 @@ class SchedEngine {
  public:
   SchedEngine(const cluster::Environment& env,
               const workflow::Workload& workload, Policy& policy,
-              const SimOptions& options, sim::Simulation* external = nullptr)
+              const SimOptions& options, sim::Simulation& sim)
       : env_(env),
         policy_(policy),
         options_(options),
         obs_(options.obs),
-        owned_(external != nullptr ? nullptr
-                                   : std::make_unique<sim::Simulation>()),
-        sim_(external != nullptr ? *external : *owned_),
-        external_(external != nullptr) {
+        sim_(sim) {
     if (obs_ != nullptr) {
-      // A shared kernel's observer/sampling hooks belong to whoever owns
-      // the kernel (the composition layer); attach only to an owned one.
-      if (!external_) {
-        sim_.set_observer(obs_->kernel_observer());
-        if (obs_->sampling_hook() != nullptr)
-          sim_.set_sampling_hook(obs_->sampling_hook(),
-                                 obs_->sampling_interval());
-      }
       passes_ = &obs_->metrics.counter("sched.passes");
       placed_ = &obs_->metrics.counter("sched.tasks_placed");
       queue_depth_ = &obs_->metrics.gauge("sched.eligible_queue");
@@ -160,12 +149,6 @@ class SchedEngine {
     if (obs_ != nullptr)
       obs_->tracer.end("sched.simulate", "sched", sim_.now());
     return std::move(result_);
-  }
-
-  SchedResult run() {
-    prepare();
-    sim_.run_until(options_.time_limit);
-    return collect();
   }
 
   // ---- fabric seam ----------------------------------------------------
@@ -604,11 +587,7 @@ class SchedEngine {
   obs::FlightRecorder* flight_ = nullptr;
   std::vector<std::size_t> flight_entity_;  // per-machine ring ids
 
-  // Kernel: owned in standalone runs, borrowed from the composition layer
-  // in composed runs. owned_ must precede sim_ (init order).
-  std::unique_ptr<sim::Simulation> owned_;
-  sim::Simulation& sim_;
-  bool external_ = false;
+  sim::Simulation& sim_;  // borrowed: simulate()'s own or a shared one
   std::vector<MachineState> machines_;
   std::vector<JobState> jobs_;
   std::unordered_map<std::uint64_t, std::size_t> job_index_;  // id -> jobs_
@@ -631,15 +610,19 @@ class SchedEngine {
 SchedResult simulate(const cluster::Environment& env,
                      const workflow::Workload& workload, Policy& policy,
                      const SimOptions& options) {
-  detail::SchedEngine engine(env, workload, policy, options);
-  return engine.run();
+  sim::Simulation sim;
+  if (options.obs != nullptr) options.obs->attach(sim);
+  detail::SchedEngine engine(env, workload, policy, options, sim);
+  engine.prepare();
+  sim.run_until(options.time_limit);
+  return engine.collect();
 }
 
 SchedDriver::SchedDriver(const cluster::Environment& env,
                          const workflow::Workload& workload, Policy& policy,
                          const SimOptions& options, sim::Simulation& sim)
     : engine_(std::make_unique<detail::SchedEngine>(env, workload, policy,
-                                                    options, &sim)) {}
+                                                    options, sim)) {}
 
 SchedDriver::~SchedDriver() = default;
 

@@ -32,39 +32,42 @@ struct Instance {
   bool doomed = false;
 };
 
-// Per-request bookkeeping. In vector mode one Request exists per input
-// invocation for the whole run; in streaming mode slots are recycled
-// through a freelist as requests reach a terminal state, so the live set
-// is the in-flight set.
+// Per-request bookkeeping. Slots are recycled through a freelist as
+// requests reach a terminal state, so the live set is the in-flight set.
 struct Request {
   Invocation inv;
   std::uint32_t attempts = 0;
   fault::FaultEvent last_fault;  // time < 0: "no fault blamed yet"
 };
 
+// An input vector replays through the pull path like any other source.
+class VectorSource final : public InvocationSource {
+ public:
+  explicit VectorSource(const std::vector<Invocation>& items)
+      : items_(items) {}
+
+  bool next(Invocation& out) override {
+    if (next_ == items_.size()) return false;
+    out = items_[next_++];
+    return true;
+  }
+
+ private:
+  const std::vector<Invocation>& items_;
+  std::size_t next_ = 0;
+};
+
 class FaasEngine {
  public:
   FaasEngine(const std::vector<FunctionSpec>& registry,
-             const std::vector<Invocation>* invocations,
-             InvocationSource* source, const PlatformConfig& config,
-             sim::Simulation* external = nullptr,
-             InstanceBacking* backing = nullptr)
+             InvocationSource& source, const PlatformConfig& config,
+             sim::Simulation& sim, InstanceBacking* backing = nullptr)
       : registry_(registry),
-        invocations_(invocations),
         source_(source),
         config_(config),
-        owned_(external != nullptr ? nullptr
-                                   : std::make_unique<sim::Simulation>()),
-        sim_(external != nullptr ? *external : *owned_),
-        external_(external != nullptr),
+        sim_(sim),
         backing_(backing),
         obs_(config.obs) {
-    if (invocations_ != nullptr) {
-      for (const auto& inv : *invocations_) {
-        if (inv.function >= registry_.size())
-          throw std::invalid_argument("run_platform: unknown function index");
-      }
-    }
     if (obs_ != nullptr) {
       started_ = &obs_->metrics.counter("faas.invocations");
       cold_starts_ = &obs_->metrics.counter("faas.cold_starts");
@@ -83,23 +86,12 @@ class FaasEngine {
   }
 
   void prepare() {
-    if (obs_ != nullptr) {
-      // A shared kernel's observer/sampling hooks belong to whoever owns
-      // the kernel (the composition layer); attach only to an owned one.
-      if (!external_) {
-        sim_.set_observer(obs_->kernel_observer());
-        if (obs_->sampling_hook() != nullptr)
-          sim_.set_sampling_hook(obs_->sampling_hook(),
-                                 obs_->sampling_interval());
-      }
+    if (obs_ != nullptr)
       obs_->tracer.begin("faas.run", "serverless", sim_.now());
-    }
-    const std::size_t upfront =
-        invocations_ != nullptr ? invocations_->size() : 1024;
-    // Pre-size the kernel: each invocation holds at most one pending
-    // event at a time (dispatch, retry, or delay reschedule) and every
-    // instance at most one keep-alive expiry.
-    sim_.reserve(upfront + config_.max_instances + 8);
+    // Pre-size the kernel for 1024 in-flight requests, each holding at
+    // most one pending event (arrival, dispatch, retry, or delay
+    // reschedule), and every instance's keep-alive expiry.
+    sim_.reserve(1024 + config_.max_instances + 8);
     if (config_.faults != nullptr && !config_.faults->empty())
       attach_faults();
     // Pre-warm pools (a backing substrate may refuse part of the pool).
@@ -109,16 +101,7 @@ class FaasEngine {
         if (make_instance(f, /*busy=*/false) == kNoInstance) break;
       }
     }
-    if (invocations_ != nullptr) {
-      reqs_.reserve(invocations_->size());
-      for (const auto& inv : *invocations_) {
-        reqs_.push_back(make_request(inv));
-        const std::size_t i = reqs_.size() - 1;
-        sim_.schedule_at(inv.arrival, [this, i] { dispatch(i); });
-      }
-    } else {
-      schedule_next_arrival();
-    }
+    schedule_next_arrival();
   }
 
   PlatformResult collect() {
@@ -126,12 +109,6 @@ class FaasEngine {
     if (obs_ != nullptr)
       obs_->tracer.end("faas.run", "serverless", sim_.now());
     return std::move(result_);
-  }
-
-  PlatformResult run() {
-    prepare();
-    sim_.run();
-    return collect();
   }
 
   /// Crash propagation from the backing substrate (see PlatformDriver).
@@ -155,17 +132,17 @@ class FaasEngine {
     return req;
   }
 
-  // Streaming mode: pull one invocation and schedule its arrival; the
-  // arrival event pulls its successor before dispatching, so exactly one
-  // un-arrived invocation is ever scheduled ahead.
+  // Pull one invocation and schedule its arrival; the arrival event pulls
+  // its successor before dispatching, so exactly one un-arrived
+  // invocation is ever scheduled ahead.
   void schedule_next_arrival() {
     Invocation inv;
-    if (!source_->next(inv)) return;
+    if (!source_.next(inv)) return;
     if (inv.function >= registry_.size())
       throw std::invalid_argument("run_platform: unknown function index");
-    if (inv.arrival < last_arrival_)
+    if (!(inv.arrival >= last_arrival_))  // also rejects NaN
       throw std::invalid_argument(
-          "run_platform: streaming arrivals must be nondecreasing");
+          "run_platform: arrivals must be nonnegative and nondecreasing");
     last_arrival_ = inv.arrival;
     const std::size_t slot = alloc_slot(inv);
     sim_.schedule_at(inv.arrival, [this, slot] {
@@ -186,11 +163,8 @@ class FaasEngine {
   }
 
   // Called when a request reaches a terminal state (success recorded or
-  // final failure). Only streaming mode recycles; vector mode keeps the
-  // 1:1 slot/invocation mapping for the whole run.
-  void retire_slot(std::size_t i) {
-    if (source_ != nullptr) free_slots_.push_back(i);
-  }
+  // final failure).
+  void retire_slot(std::size_t i) { free_slots_.push_back(i); }
 
   std::size_t find_idle(std::size_t function) {
     for (std::size_t i = 0; i < instances_.size(); ++i) {
@@ -431,19 +405,15 @@ class FaasEngine {
     sim_.schedule_after(busy, [this, idx] { release(idx); });
   }
 
-  // Terminal accounting shared by the success and final-failure paths.
-  // With recording on, the full InvocationStats row is kept (the exact
-  // percentile path in finalize()); with recording off only O(1) running
-  // aggregates survive, which is what bounds streaming-replay memory.
+  // Terminal accounting shared by the success and final-failure paths:
+  // O(1) running aggregates always, plus the full InvocationStats row
+  // when recording is on (the exact percentile path in finalize()).
   void record_outcome(const InvocationStats& stats) {
-    if (config_.record_invocations) {
-      result_.invocations.push_back(stats);
-      return;
-    }
     ++outcomes_;
     end_time_ = std::max(end_time_, stats.finish);
     if (stats.cold) ++cold_outcomes_;
     if (!stats.failed) result_.latency_digest.add(stats.latency());
+    if (config_.record_invocations) result_.invocations.push_back(stats);
   }
 
   void release(std::size_t idx) {
@@ -497,27 +467,17 @@ class FaasEngine {
   }
 
   void finalize() {
-    double end = 0.0;
-    std::size_t total = 0;
-    std::size_t cold = 0;
     if (config_.record_invocations) {
       std::vector<double> latencies;
       for (const auto& s : result_.invocations) {
-        end = std::max(end, s.finish);
         // Failed invocations have no latency; percentiles cover successes.
         if (!s.failed) latencies.push_back(s.latency());
-        if (s.cold) ++cold;
       }
-      total = result_.invocations.size();
       result_.p50_latency = stats::quantile(latencies, 0.5);
       result_.p95_latency = stats::quantile(latencies, 0.95);
       result_.p99_latency = stats::quantile(latencies, 0.99);
       result_.p999_latency = stats::quantile(latencies, 0.999);
-      for (const double l : latencies) result_.latency_digest.add(l);
     } else {
-      end = end_time_;
-      total = outcomes_;
-      cold = cold_outcomes_;
       result_.p50_latency = result_.latency_digest.p50();
       result_.p95_latency = result_.latency_digest.p95();
       result_.p99_latency = result_.latency_digest.p99();
@@ -528,16 +488,16 @@ class FaasEngine {
     for (auto& inst : instances_) {
       if (inst.alive && !inst.busy) {
         result_.billed_instance_seconds +=
-            std::clamp(end - inst.idle_since, 0.0, config_.keep_alive);
+            std::clamp(end_time_ - inst.idle_since, 0.0, config_.keep_alive);
         inst.alive = false;
       }
     }
-    if (total != 0) {
+    if (outcomes_ != 0) {
       result_.cold_fraction =
-          static_cast<double>(cold) / static_cast<double>(total);
+          static_cast<double>(cold_outcomes_) / static_cast<double>(outcomes_);
       result_.success_rate =
           1.0 - static_cast<double>(result_.failed_invocations) /
-                    static_cast<double>(total);
+                    static_cast<double>(outcomes_);
     }
     if (injector_.has_value()) {
       result_.faults_injected = injector_->injected();
@@ -546,23 +506,18 @@ class FaasEngine {
   }
 
   const std::vector<FunctionSpec>& registry_;
-  const std::vector<Invocation>* invocations_;  // vector mode (else null)
-  InvocationSource* source_;                    // streaming mode (else null)
+  InvocationSource& source_;
   PlatformConfig config_;
-  // Kernel: owned in standalone runs, borrowed from the composition layer
-  // in composed runs. owned_ must precede sim_ (init order).
-  std::unique_ptr<sim::Simulation> owned_;
-  sim::Simulation& sim_;
-  bool external_ = false;
+  sim::Simulation& sim_;  // borrowed: run_platform()'s own or a shared one
   InstanceBacking* backing_ = nullptr;
   std::vector<Instance> instances_;
   std::vector<Request> reqs_;        // request slots, indexed by `i`
-  std::vector<std::size_t> free_slots_;  // streaming-mode slot freelist
+  std::vector<std::size_t> free_slots_;  // retired request slots
   std::deque<std::size_t> pending_;  // indices into reqs_
   std::uint32_t live_count_ = 0;
-  double last_arrival_ = 0.0;        // streaming nondecreasing check
+  double last_arrival_ = 0.0;        // nondecreasing-arrival check
   PlatformResult result_;
-  // Aggregates kept when record_invocations is off (O(1) memory).
+  // Running aggregates over terminal outcomes (O(1) memory).
   std::size_t outcomes_ = 0;
   std::size_t cold_outcomes_ = 0;
   double end_time_ = 0.0;
@@ -596,24 +551,28 @@ class FaasEngine {
 PlatformResult run_platform(const std::vector<FunctionSpec>& registry,
                             const std::vector<Invocation>& invocations,
                             const PlatformConfig& config) {
-  detail::FaasEngine engine(registry, &invocations, nullptr, config);
-  return engine.run();
+  detail::VectorSource source(invocations);
+  return run_platform(registry, source, config);
 }
 
 PlatformResult run_platform(const std::vector<FunctionSpec>& registry,
                             InvocationSource& source,
                             const PlatformConfig& config) {
-  detail::FaasEngine engine(registry, nullptr, &source, config);
-  return engine.run();
+  sim::Simulation sim;
+  if (config.obs != nullptr) config.obs->attach(sim);
+  detail::FaasEngine engine(registry, source, config, sim);
+  engine.prepare();
+  sim.run();
+  return engine.collect();
 }
 
 PlatformDriver::PlatformDriver(const std::vector<FunctionSpec>& registry,
                                const std::vector<Invocation>& invocations,
                                const PlatformConfig& config,
                                sim::Simulation& sim, InstanceBacking* backing)
-    : engine_(std::make_unique<detail::FaasEngine>(registry, &invocations,
-                                                   nullptr, config, &sim,
-                                                   backing)) {}
+    : source_(std::make_unique<detail::VectorSource>(invocations)),
+      engine_(std::make_unique<detail::FaasEngine>(registry, *source_, config,
+                                                   sim, backing)) {}
 
 PlatformDriver::~PlatformDriver() = default;
 

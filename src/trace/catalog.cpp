@@ -200,7 +200,7 @@ void replay_serverless(CountingStream& stream, ReplaySummary& summary) {
   serverless::PlatformConfig config;
   config.keep_alive = 60.0;
   config.max_instances = 4096;
-  config.record_invocations = false;  // O(in-flight) memory: streaming mode
+  config.record_invocations = false;  // O(in-flight) memory
   const auto result = serverless::run_platform(registry, source, config);
   summary.metrics = {
       {"p50_latency", result.p50_latency},

@@ -18,9 +18,11 @@
 // The ThreadSanitizer CI job runs this binary to certify the composed
 // sharded runs.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -147,6 +149,39 @@ TEST(EcoConformance, ComposedByteIdenticalAcrossThreadsAndShardLayouts) {
 TEST(EcoConformance, RepeatedRunsOfOneEcosystemAreIdentical) {
   const eco::Ecosystem system(bound_spec());
   EXPECT_EQ(system.run().summary(), system.run().summary());
+}
+
+TEST(EcoConformance, TiedFaasArrivalsKeepLayoutInvariance) {
+  // Each FaaS arrival is scheduled on LP 0 only when its predecessor
+  // fires, so one tied with a zone report (kI+L) may fire before or after
+  // the barrier-delivered report. The report handler writes only state
+  // FaaS never reads, and the controller tick that reads it (kI+2L) is
+  // local to LP 0, so no layout may move a byte.
+  eco::EcosystemSpec spec = bound_spec();
+  const double interval = spec.mmog.report_interval;
+  const double lookahead = spec.mmog.config.crossing_time;
+  auto& invocations = spec.serverless.invocations;
+  for (double t = interval; t + 2.0 * lookahead <= spec.horizon;
+       t += interval) {
+    invocations.push_back({0, t + lookahead});
+    invocations.push_back({1, t + 2.0 * lookahead});
+  }
+  std::stable_sort(invocations.begin(), invocations.end(),
+                   [](const serverless::Invocation& a,
+                      const serverless::Invocation& b) {
+                     return a.arrival < b.arrival;
+                   });
+
+  spec.shards = 1;
+  spec.threads = 1;
+  const std::string expect = eco::run_ecosystem(spec).summary();
+  const std::size_t layouts[][2] = {{2, 2}, {4, 2}, {8, 2}, {8, 8}};
+  for (const auto& layout : layouts) {
+    spec.shards = layout[0];
+    spec.threads = layout[1];
+    EXPECT_EQ(expect, eco::run_ecosystem(spec).summary())
+        << "shards=" << layout[0] << " threads=" << layout[1];
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -346,6 +381,27 @@ TEST(EcoConformance, RejectsUnknownBindingsAndBadCadence) {
   spec = bound_spec();
   spec.fabric.machines = 0;
   EXPECT_THROW(eco::run_ecosystem(spec), std::invalid_argument);
+}
+
+TEST(EcoConformance, MalformedInvocationsThrowOnEveryLayout) {
+  // The platform checks each invocation when it pulls it, so all but a
+  // bad first one throw mid-run on LP 0; the sharded kernel rethrows the
+  // exception on the caller at any shard count.
+  const eco::EcosystemSpec base = bound_spec();
+  const std::size_t mid = base.serverless.invocations.size() / 2;
+  std::vector<eco::EcosystemSpec> bad(3, base);
+  std::swap(bad[0].serverless.invocations[mid].arrival,
+            bad[0].serverless.invocations[mid + 1].arrival);  // unsorted
+  bad[1].serverless.invocations.front().arrival = -1.0;
+  bad[2].serverless.invocations[mid].function = 99;  // unknown function
+  for (eco::EcosystemSpec& spec : bad) {
+    for (const std::size_t shards : {1, 4}) {
+      spec.shards = shards;
+      spec.threads = shards == 1 ? 1 : 2;
+      EXPECT_THROW(eco::run_ecosystem(spec), std::invalid_argument)
+          << "shards=" << shards;
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the FaaS platform and the serverless workflow engine
 // (paper Section 6.4).
 
+#include <limits>
 #include <string_view>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,51 @@ namespace {
 
 std::vector<sl::FunctionSpec> two_functions() {
   return {{"alpha", 0.2, 1.0, 128.0}, {"beta", 0.5, 2.0, 256.0}};
+}
+
+/// Streams a vector through the pull interface, as a trace adapter would.
+struct VectorStream final : sl::InvocationSource {
+  explicit VectorStream(const std::vector<sl::Invocation>& invocations)
+      : invocations(invocations) {}
+  bool next(sl::Invocation& out) override {
+    if (at == invocations.size()) return false;
+    out = invocations[at++];
+    return true;
+  }
+  const std::vector<sl::Invocation>& invocations;
+  std::size_t at = 0;
+};
+
+/// Every PlatformResult field, bit for bit.
+void expect_same_result(const sl::PlatformResult& a,
+                        const sl::PlatformResult& b) {
+  ASSERT_EQ(a.invocations.size(), b.invocations.size());
+  for (std::size_t i = 0; i < a.invocations.size(); ++i) {
+    const auto& x = a.invocations[i];
+    const auto& y = b.invocations[i];
+    EXPECT_EQ(x.function, y.function) << "row " << i;
+    EXPECT_EQ(x.arrival, y.arrival) << "row " << i;
+    EXPECT_EQ(x.start, y.start) << "row " << i;
+    EXPECT_EQ(x.finish, y.finish) << "row " << i;
+    EXPECT_EQ(x.cold, y.cold) << "row " << i;
+    EXPECT_EQ(x.attempts, y.attempts) << "row " << i;
+    EXPECT_EQ(x.failed, y.failed) << "row " << i;
+  }
+  EXPECT_EQ(a.p50_latency, b.p50_latency);
+  EXPECT_EQ(a.p95_latency, b.p95_latency);
+  EXPECT_EQ(a.p99_latency, b.p99_latency);
+  EXPECT_EQ(a.p999_latency, b.p999_latency);
+  EXPECT_EQ(a.latency_digest.serialize(), b.latency_digest.serialize());
+  EXPECT_EQ(a.cold_fraction, b.cold_fraction);
+  EXPECT_EQ(a.billed_instance_seconds, b.billed_instance_seconds);
+  EXPECT_EQ(a.busy_instance_seconds, b.busy_instance_seconds);
+  EXPECT_EQ(a.peak_instances, b.peak_instances);
+  EXPECT_EQ(a.failed_invocations, b.failed_invocations);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.success_rate, b.success_rate);
+  EXPECT_EQ(a.faults_injected, b.faults_injected);
+  EXPECT_EQ(a.faults_recovered, b.faults_recovered);
+  EXPECT_EQ(a.capacity_denials, b.capacity_denials);
 }
 
 }  // namespace
@@ -89,6 +135,17 @@ TEST(Platform, UnknownFunctionRejected) {
   const std::vector<sl::Invocation> invocations = {{9, 0.0}};
   EXPECT_THROW(sl::run_platform(registry, invocations, {}),
                std::invalid_argument);
+
+  // Later invocations are checked when pulled, during the run: f1's
+  // arrival pulls the bad one before dispatching f1, so f0 has started.
+  atlarge::obs::Observability plane;
+  sl::PlatformConfig config;
+  config.obs = &plane;
+  const std::vector<sl::Invocation> mid = {
+      {0, 0.0}, {1, 1.0}, {7, 2.0}, {0, 3.0}};
+  EXPECT_THROW(sl::run_platform(registry, mid, config),
+               std::invalid_argument);
+  EXPECT_EQ(plane.metrics.counters().at("faas.invocations").value(), 1u);
 }
 
 TEST(Platform, BilledAtLeastBusy) {
@@ -167,6 +224,65 @@ TEST(Platform, BurstyGeneratorSortedAndBounded) {
   for (const auto& inv : invocations) {
     EXPECT_LT(inv.function, 3u);
     EXPECT_LT(inv.arrival, 1'000.0);
+  }
+}
+
+// ------------------------------------------------------ one arrival path --
+
+TEST(Platform, VectorAndStreamedInputsAgree) {
+  // f0's second arrival ties with the release of the instance its first
+  // invocation cold-started. Both input forms pull that arrival one ahead,
+  // so the release fires first and the instance is reused warm.
+  const std::vector<sl::FunctionSpec> registry = {{"f0", 0.5, 1.0, 128.0},
+                                                  {"f1", 0.5, 1.0, 128.0}};
+  const std::vector<sl::Invocation> tie = {{0, 0.0}, {1, 0.5}, {0, 1.5}};
+  VectorStream tie_stream(tie);
+  const auto tie_vector = sl::run_platform(registry, tie, {});
+  expect_same_result(tie_vector, sl::run_platform(registry, tie_stream, {}));
+  EXPECT_NEAR(tie_vector.cold_fraction, 2.0 / 3.0, 1e-12);
+  EXPECT_EQ(tie_vector.peak_instances, 2u);
+  EXPECT_DOUBLE_EQ(tie_vector.billed_instance_seconds, 1203.5);
+
+  // A faulted bursty run with retries and a timeout.
+  Rng rng(21);
+  const auto bursty = sl::bursty_invocations(2, 0.5, 4'000.0, 500.0, 30, rng);
+  atlarge::fault::FaultSpec fspec;
+  fspec.rate = 5.0;
+  fspec.horizon = 4'000.0;
+  fspec.seed = 3;
+  fspec.targets = 2;
+  fspec.mean_duration = 60.0;
+  fspec.kinds = {atlarge::fault::FaultKind::kMessageLoss,
+                 atlarge::fault::FaultKind::kMessageDelay,
+                 atlarge::fault::FaultKind::kColdStartFailure};
+  const auto plan = atlarge::fault::FaultPlan::generate(fspec);
+  sl::PlatformConfig config;
+  config.keep_alive = 60.0;
+  config.max_instances = 4;
+  config.faults = &plan;
+  config.retry.max_attempts = 3;
+  config.retry.timeout = 1.2;  // every cold attempt times out
+  VectorStream bursty_stream(bursty);
+  const auto bursty_vector = sl::run_platform(registry, bursty, config);
+  expect_same_result(bursty_vector,
+                     sl::run_platform(registry, bursty_stream, config));
+  EXPECT_GT(bursty_vector.retries, 0u);
+  EXPECT_GT(bursty_vector.failed_invocations, 0u);
+}
+
+TEST(Platform, RejectsUnsortedAndNegativeArrivals) {
+  const auto registry = two_functions();
+  const std::vector<std::vector<sl::Invocation>> bad = {
+      {{0, 0.0}, {1, 2.0}, {0, 1.0}},  // unsorted
+      {{0, -1.0}, {1, 2.0}},           // negative arrival
+      {{0, 0.0}, {1, std::numeric_limits<double>::quiet_NaN()}},
+  };
+  for (const auto& invocations : bad) {
+    EXPECT_THROW(sl::run_platform(registry, invocations, {}),
+                 std::invalid_argument);
+    VectorStream stream(invocations);
+    EXPECT_THROW(sl::run_platform(registry, stream, {}),
+                 std::invalid_argument);
   }
 }
 
