@@ -27,7 +27,9 @@
 // Exit codes: 0 = campaign complete; 2 = usage/spec error; 3 = campaign
 // incomplete (trial cap hit — resume by re-running).
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <filesystem>
@@ -66,9 +68,13 @@ std::string flag_value(const std::vector<std::string>& args,
 }
 
 std::size_t parse_count(const std::string& text, const char* what) {
+  // strtoull negates a leading '-' modulo 2^64 ("-1" reads as 2^64 - 1)
+  // and saturates past 2^64 - 1; both are usage errors here.
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0')
+  if (text[0] == '-' || end == text.c_str() || *end != '\0' ||
+      errno == ERANGE)
     throw std::invalid_argument(std::string("bad ") + what + " '" + text +
                                 "'");
   return static_cast<std::size_t>(v);

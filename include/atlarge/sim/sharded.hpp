@@ -41,11 +41,13 @@
 //    engine's entity id precisely so delivery order ties break the same
 //    way no matter how entities are spread over LPs.
 //
-// Thread affinity: LP i always runs on lane (i mod lanes), and a lane is
-// pinned to one ThreadPool worker via run_on — an LP's queue and arena
-// stay hot in one core's cache across windows. While a lane executes an
-// LP window it binds the LP's owner thread (Simulation::bind_owner_thread),
-// so debug builds assert on cross-LP handle cancels instead of racing.
+// Thread affinity: the pool has min(threads, shards) lanes, LP i always
+// runs on lane (i mod lanes), and ThreadPool::run_lanes always runs a
+// lane on the same thread (lane 0 on the coordinator, lane L on worker
+// L-1), so an LP's queue and arena stay hot in one core's cache across
+// windows. While a lane executes an LP window it binds the LP's owner
+// thread (Simulation::bind_owner_thread), so debug builds assert on
+// cross-LP handle cancels instead of racing.
 
 #include <cstddef>
 #include <cstdint>
@@ -63,7 +65,8 @@ struct ShardOptions {
   /// Number of logical processes. 1 (the default) keeps today's
   /// single-queue behaviour: one LP, windows collapse to plain runs.
   std::size_t shards = 1;
-  /// Worker parallelism (ThreadPool size; 1 = everything on the caller).
+  /// Worker parallelism: the ThreadPool gets min(threads, shards) lanes
+  /// (1 = everything on the caller).
   std::size_t threads = 1;
   /// Conservative lookahead L in simulated time: the minimum delay of any
   /// cross-LP send. 0 is always safe but serializes one timestamp per
@@ -80,7 +83,6 @@ class ShardedSimulation {
   ShardedSimulation& operator=(const ShardedSimulation&) = delete;
 
   std::size_t shards() const noexcept { return lps_.size(); }
-  std::size_t threads() const noexcept { return pool_.size(); }
   double lookahead() const noexcept { return lookahead_; }
 
   /// The LP's kernel: schedule local events, attach observers, sampling
@@ -135,22 +137,16 @@ class ShardedSimulation {
     std::exception_ptr error;  // what its window threw; cleared at barrier
   };
 
-  std::size_t lane_of(std::size_t lp) const noexcept {
-    return lp % lanes_;
-  }
-
   void deliver_mailboxes();
   std::size_t run_window(Time window_until);
 
   std::vector<std::unique_ptr<Lp>> lps_;
   ThreadPool pool_;
   double lookahead_ = 0.0;
-  std::size_t lanes_ = 1;
   std::vector<std::size_t> lane_executed_;  // per-lane, summed at barrier
   std::vector<Message> delivery_;           // reused barrier scratch
   std::uint64_t windows_ = 0;
   std::uint64_t messages_ = 0;
-  bool executing_ = false;
 };
 
 }  // namespace atlarge::sim

@@ -1,28 +1,43 @@
 #pragma once
-// A small fixed-size worker pool for CPU-bound fan-out inside the
-// simulation ecosystem — most prominently the portfolio scheduler's
-// what-if evaluations, which are independent simulations on private
-// snapshots (paper Section 6.6: the portfolio is only usable online if
-// those simulations are fast).
+// A small fixed-size pool with one fork-join primitive, run_lanes, behind
+// every CPU-bound fan-out in the simulation ecosystem: the portfolio
+// scheduler's what-if evaluations (paper Section 6.6: the portfolio is
+// only usable online if those simulations are fast), the campaign
+// runner's trials, the Graphalytics kernels' vertex blocks, and the
+// sharded simulation's lookahead windows.
 //
 // Design notes:
-//  * Deliberately minimal: a mutex-protected FIFO of std::function jobs
-//    and a condition variable. The jobs the ecosystem submits are whole
-//    nested simulations (milliseconds to seconds), so queue overhead is
-//    irrelevant and lock-free machinery would be unearned complexity.
-//  * parallel_for hands out indices through an atomic counter and the
-//    *calling* thread participates as a worker, so a pool of size N uses
-//    N threads total (N-1 workers + caller), and a pool of size 1 runs
-//    the loop inline with zero synchronization.
+//  * One primitive. run_lanes(fn) runs fn(lane) once for every lane in
+//    [0, size()) and returns when all of them have. parallel_for is
+//    run_lanes plus an atomic index; sharded windows call run_lanes
+//    directly. There is no job queue: a call publishes one function and
+//    bumps a generation counter that the workers wait on, and the caller
+//    waits on a pending-worker count. Both waits are C++20 std::atomic
+//    wait/notify, which spins briefly and then parks the thread, so an
+//    idle pool burns no CPU.
+//  * Lane L always runs on the same thread: lane 0 on the caller, lane L
+//    on worker L-1. A caller that keeps per-lane state (the sharded
+//    simulation's LP queues and arenas) keeps it hot in one core's cache
+//    across calls.
+//  * A lane that throws does not stop the others. Once every lane has
+//    returned, the exception of the lowest-numbered lane that threw is
+//    rethrown on the caller, whichever lane threw first. The pool stays
+//    usable.
+//  * One call at a time per pool: run_lanes and parallel_for must not be
+//    called concurrently on one pool, nor from inside one of its lanes.
+//    Every caller owns its pool (one per kernel call, portfolio, trial
+//    batch or sharded simulation), so none shares or nests one.
+//  * A pool of size 1 has no workers and runs lane 0 inline on the
+//    caller with zero synchronization.
 //  * Determinism is the callers' contract, not the pool's: callers must
-//    write results into per-index slots and draw randomness from
-//    per-index streams, then reduce in index order after the join.
+//    write results into per-index (or per-lane) slots and draw randomness
+//    from per-index streams, then reduce in index order after the join.
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
+#include <exception>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -30,65 +45,53 @@ namespace atlarge::sim {
 
 class ThreadPool {
  public:
-  /// Spawns `threads - 1` workers (the calling thread is the Nth worker in
-  /// parallel_for). `threads` <= 1 means no workers: everything runs
-  /// inline on the caller.
+  /// Upper bound on `threads`. Thread counts come from campaign specs and
+  /// command-line flags; this cap turns a typo such as `--threads=-1`
+  /// (2^64 - 1 once parsed unsigned) into an error instead of an attempt
+  /// to start that many OS threads.
+  static constexpr std::size_t kMaxThreads = 256;
+
+  /// Starts `threads - 1` workers; the calling thread is lane 0 of every
+  /// call. `threads` <= 1 means no workers: everything runs inline on the
+  /// caller. Throws std::invalid_argument, before starting any worker,
+  /// when `threads` exceeds kMaxThreads.
   explicit ThreadPool(std::size_t threads);
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Drains nothing: joins workers after finishing jobs already dequeued;
-  /// queued-but-unstarted jobs are discarded.
-  ~ThreadPool();
+  /// Wakes and joins the workers. Must not race a call in progress.
+  ~ThreadPool() { join_workers(); }
 
-  /// Total parallelism of parallel_for (workers + calling thread).
+  /// Number of lanes: the workers plus the calling thread.
   std::size_t size() const noexcept { return workers_.size() + 1; }
 
-  /// Number of dedicated worker threads (size() - 1; 0 for a size-1 pool).
-  /// Valid `run_on` indices are [0, worker_count()).
-  std::size_t worker_count() const noexcept { return workers_.size(); }
+  /// Runs fn(lane) once for every lane in [0, size()), lane 0 on the
+  /// calling thread and lane L on worker L-1, and blocks until every lane
+  /// has returned. fn must be safe to invoke concurrently from distinct
+  /// threads. If lanes throw, the exception of the lowest-numbered one is
+  /// rethrown after the join.
+  void run_lanes(const std::function<void(std::size_t)>& fn);
 
-  /// Enqueues a job for a worker thread. With a pool of size 1 the job
-  /// runs inline immediately.
-  void submit(std::function<void()> job);
-
-  /// Enqueues a job pinned to worker `worker_index`: it runs on that
-  /// worker's thread, after any pinned jobs already queued there, and
-  /// before the worker takes more shared `submit` work. This is the
-  /// LP->worker affinity primitive for sharded simulation: pinning every
-  /// window of one logical process to the same worker keeps its queue and
-  /// arena hot in that core's cache, and guarantees two jobs pinned to the
-  /// same index never run concurrently (a per-worker FIFO).
-  ///
-  /// `worker_index` is reduced modulo worker_count(); with no workers
-  /// (size-1 pool) the job runs inline immediately, preserving the
-  /// sequential-FIFO guarantee trivially.
-  void run_on(std::size_t worker_index, std::function<void()> job);
-
-  /// Blocks until every submitted and pinned job has finished.
-  void wait_idle();
-
-  /// Runs fn(i) for every i in [0, n), spread across the pool; the calling
-  /// thread participates. Blocks until all n invocations returned. fn must
-  /// be safe to invoke concurrently from distinct threads. If fn throws,
-  /// no lane claims another index; once every lane has stopped, the first
-  /// exception caught is rethrown on the calling thread.
+  /// Runs fn(i) for every i in [0, n), spread across the lanes, and blocks
+  /// until all n invocations returned. fn must be safe to invoke
+  /// concurrently from distinct threads. If fn throws, no lane claims
+  /// another index, and once every lane has stopped the lowest lane's
+  /// exception is rethrown on the calling thread.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
-  void worker_loop(std::size_t index);
+  void worker_loop(std::size_t lane);
+  void join_workers() noexcept;
 
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> jobs_;
-  // One FIFO per worker for run_on; only worker i pops pinned_[i].
-  std::vector<std::deque<std::function<void()>>> pinned_;
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;  // workers: "a job or stop arrived"
-  std::condition_variable idle_cv_;  // wait_idle: "everything finished"
-  std::size_t in_flight_ = 0;        // dequeued but not yet finished
-  std::size_t pinned_pending_ = 0;   // queued in pinned_, not yet dequeued
-  bool stop_ = false;
+  // The current call's function; null in a generation means "exit".
+  // Written by the caller before the generation bump, read by workers
+  // after they observe it.
+  const std::function<void(std::size_t)>* job_ = nullptr;
+  std::vector<std::exception_ptr> errors_;  // per lane, read after the join
+  std::atomic<std::uint32_t> generation_{0};  // bumped once per call
+  std::atomic<std::uint32_t> pending_{0};     // workers still in the call
+  std::vector<std::thread> workers_;  // last: they use every member above
 };
 
 }  // namespace atlarge::sim

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "atlarge/sim/thread_pool.hpp"
+
 namespace atlarge::exp {
 namespace {
 
@@ -123,6 +125,9 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
     } else if (keyword == "threads") {
       spec.threads = parse_u64(require_one(), lineno, "threads");
       if (spec.threads == 0) spec_error(lineno, "threads must be >= 1");
+      if (spec.threads > sim::ThreadPool::kMaxThreads)
+        spec_error(lineno, "threads must be <= " +
+                               std::to_string(sim::ThreadPool::kMaxThreads));
     } else if (keyword == "top") {
       spec.top_k = parse_u64(require_one(), lineno, "top");
       if (spec.top_k == 0) spec_error(lineno, "top must be >= 1");

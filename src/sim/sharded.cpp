@@ -12,15 +12,16 @@ namespace {
 constexpr Time kInf = std::numeric_limits<Time>::infinity();
 }  // namespace
 
+// One lane per LP at most, so every lane of every window has an LP.
 ShardedSimulation::ShardedSimulation(const ShardOptions& options)
-    : pool_(std::max<std::size_t>(1, options.threads)),
+    : pool_(std::max<std::size_t>(1,
+                                  std::min(options.threads, options.shards))),
       lookahead_(std::max(0.0, options.lookahead)) {
   const std::size_t shards = std::max<std::size_t>(1, options.shards);
   lps_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i)
     lps_.push_back(std::make_unique<Lp>());
-  lanes_ = std::min(pool_.size(), shards);
-  lane_executed_.resize(lanes_, 0);
+  lane_executed_.resize(pool_.size(), 0);
 }
 
 ShardedSimulation::~ShardedSimulation() = default;
@@ -70,7 +71,8 @@ void ShardedSimulation::deliver_mailboxes() {
 }
 
 // One lookahead window: every LP executes its events in [floor, bound]
-// in parallel, one lane per (lp mod lanes) with stable worker affinity.
+// in parallel, LP i on lane (i mod lanes), so an LP runs on the same
+// thread every window (ThreadPool::run_lanes pins lane L to worker L-1).
 // An LP with nothing in the window still gets its clock advanced to the
 // bound (and its sampling boundaries emitted) by run_until's idle path.
 // A lane catches whatever its LPs throw and goes on with its next LP, so
@@ -79,11 +81,9 @@ void ShardedSimulation::deliver_mailboxes() {
 // threw.
 std::size_t ShardedSimulation::run_window(Time window_until) {
   ++windows_;
-  executing_ = true;
-  std::fill(lane_executed_.begin(), lane_executed_.end(), std::size_t{0});
-  auto lane_job = [this, window_until](std::size_t lane) {
+  pool_.run_lanes([this, window_until](std::size_t lane) {
     std::size_t fired = 0;
-    for (std::size_t i = lane; i < lps_.size(); i += lanes_) {
+    for (std::size_t i = lane; i < lps_.size(); i += pool_.size()) {
       Lp& lp = *lps_[i];
       lp.sim.bind_owner_thread();
       try {
@@ -94,14 +94,7 @@ std::size_t ShardedSimulation::run_window(Time window_until) {
       lp.sim.clear_owner_thread();
     }
     lane_executed_[lane] = fired;
-  };
-  // Lane L runs on worker L-1 every window (run_on pinning); lane 0 is
-  // the coordinator itself. wait_idle is the window barrier.
-  for (std::size_t lane = 1; lane < lanes_; ++lane)
-    pool_.run_on(lane - 1, [&lane_job, lane] { lane_job(lane); });
-  lane_job(0);
-  pool_.wait_idle();
-  executing_ = false;
+  });
   std::exception_ptr error;
   for (auto& lp : lps_) {
     if (!error) error = lp->error;

@@ -123,10 +123,12 @@ TEST(CampaignSpec, ErrorsCarryLineNumbers) {
                std::invalid_argument);  // unknown keyword
   // Signed or out-of-range counts are errors on their own line, not
   // values wrapped modulo 2^64 (threads -1 used to reach the runner as
-  // 2^64 - 1 threads and die in vector::reserve).
+  // 2^64 - 1 threads and die in vector::reserve). Thread counts above
+  // ThreadPool::kMaxThreads (256) are out of range too.
   for (const char* bad :
        {"threads -1", "repeats -1", "trials -3", "top -2", "seed -5",
-        "seed 18446744073709551616", "threads 99999999999999999999"}) {
+        "seed 18446744073709551616", "threads 99999999999999999999",
+        "threads 257"}) {
     try {
       exp::parse_campaign_spec(std::string("domain p2p\n") + bad + "\n");
       ADD_FAILURE() << "accepted '" << bad << "'";

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -191,6 +192,31 @@ TEST(ShardedSimulation, ThrowingEventsRethrowLowestLpAtAnyThreadCount) {
     EXPECT_EQ(net.run(), 2u) << threads << " threads";
     EXPECT_EQ(fired, (std::vector<int>{2, 2, 2, 2})) << threads << " threads";
   }
+}
+
+TEST(ShardedSimulation, PoolHasNoMoreLanesThanShards) {
+  // 8 threads over 2 shards: the pool gets min(threads, shards) lanes, so
+  // LP events run on at most 2 threads, and each LP on one of them in
+  // every window.
+  sim::ShardOptions options;
+  options.shards = 2;
+  options.threads = 8;
+  options.lookahead = 1.0;
+  sim::ShardedSimulation net(options);
+  std::vector<std::vector<std::thread::id>> ran(2);  // written by LP's lane
+  for (std::size_t lp = 0; lp < 2; ++lp)
+    for (int t = 0; t < 20; ++t)
+      net.lp(lp).schedule_at(t + 0.5, [&ran, lp] {
+        ran[lp].push_back(std::this_thread::get_id());
+      });
+  EXPECT_EQ(net.run(), 40u);
+  std::set<std::thread::id> distinct;
+  for (const auto& ids : ran) {
+    ASSERT_EQ(ids.size(), 20u);
+    for (const auto& id : ids) EXPECT_EQ(id, ids.front());
+    distinct.insert(ids.begin(), ids.end());
+  }
+  EXPECT_LE(distinct.size(), 2u);
 }
 
 TEST(ShardedSimulation, NextEventTimeReportsAndPurges) {

@@ -1,13 +1,15 @@
-// Tests for the worker pool behind the portfolio scheduler's parallel
-// what-if evaluation. The ThreadSanitizer CI job runs this binary to
-// certify the pool's synchronization.
+// Tests for the fork-join pool behind the portfolio's what-if evaluation,
+// the campaign runner, the graph kernels and the sharded windows. The
+// ThreadSanitizer CI job runs this binary to certify the pool's
+// synchronization.
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <mutex>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -86,14 +88,6 @@ TEST(ThreadPool, ParallelForWithFewerItemsThanThreads) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, SubmitAndWaitIdle) {
-  sim::ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { done.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 100);
-}
-
 TEST(ThreadPool, RepeatedParallelForRounds) {
   // Churn for the ThreadSanitizer job: many rounds over one pool, with
   // writes to distinct slots per round (the portfolio's usage pattern).
@@ -114,65 +108,67 @@ TEST(ThreadPool, DestructionJoinsCleanly) {
   EXPECT_EQ(done.load(), 32);
 }
 
-TEST(ThreadPool, RunOnPinsJobsToOneWorkerThread) {
+TEST(ThreadPool, RunLanesPinsEachLaneToOneThread) {
   sim::ThreadPool pool(4);
-  ASSERT_EQ(pool.worker_count(), 3u);
-  std::vector<std::vector<std::thread::id>> seen(pool.worker_count());
-  for (int round = 0; round < 50; ++round) {
-    for (std::size_t w = 0; w < pool.worker_count(); ++w) {
-      // seen[w] is written only by worker w (that is the property under
-      // test), so no synchronization beyond wait_idle is needed.
-      pool.run_on(w, [&seen, w] { seen[w].push_back(std::this_thread::get_id()); });
-    }
+  ASSERT_EQ(pool.size(), 4u);
+  std::vector<std::vector<std::thread::id>> seen(pool.size());
+  for (int call = 0; call < 50; ++call) {
+    // seen[lane] is written only by that lane's thread, and each call
+    // joins every lane before returning.
+    pool.run_lanes([&seen](std::size_t lane) {
+      seen[lane].push_back(std::this_thread::get_id());
+    });
   }
-  pool.wait_idle();
   std::set<std::thread::id> distinct;
-  for (std::size_t w = 0; w < seen.size(); ++w) {
-    ASSERT_EQ(seen[w].size(), 50u) << w;
-    for (const auto& id : seen[w]) EXPECT_EQ(id, seen[w].front()) << w;
-    EXPECT_NE(seen[w].front(), std::this_thread::get_id()) << w;
-    distinct.insert(seen[w].front());
+  for (std::size_t lane = 0; lane < seen.size(); ++lane) {
+    ASSERT_EQ(seen[lane].size(), 50u) << lane;
+    for (const auto& id : seen[lane]) EXPECT_EQ(id, seen[lane].front()) << lane;
+    distinct.insert(seen[lane].front());
   }
-  EXPECT_EQ(distinct.size(), seen.size());  // one thread per worker index
+  EXPECT_EQ(seen[0].front(), std::this_thread::get_id());  // lane 0: caller
+  EXPECT_EQ(distinct.size(), seen.size());  // one thread per lane
 }
 
-TEST(ThreadPool, RunOnIsFifoPerWorker) {
-  sim::ThreadPool pool(2);
-  std::vector<int> order;
-  for (int i = 0; i < 200; ++i)
-    pool.run_on(0, [&order, i] { order.push_back(i); });
-  pool.wait_idle();
-  ASSERT_EQ(order.size(), 200u);
-  for (int i = 0; i < 200; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPool, RunOnRunsInlineWithoutWorkers) {
-  sim::ThreadPool pool(1);
-  const auto caller = std::this_thread::get_id();
-  std::thread::id ran;
-  pool.run_on(0, [&] { ran = std::this_thread::get_id(); });
-  EXPECT_EQ(ran, caller);
-}
-
-TEST(ThreadPool, RunOnReducesIndexModuloWorkerCount) {
-  sim::ThreadPool pool(3);  // workers 0 and 1
-  std::atomic<int> done{0};
-  pool.run_on(7, [&] { done.fetch_add(1); });  // 7 % 2 == 1
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 1);
-}
-
-TEST(ThreadPool, RunOnMixesWithSubmitAndParallelFor) {
+TEST(ThreadPool, RunLanesRethrowsTheLowestThrowingLaneAfterTheJoin) {
   sim::ThreadPool pool(4);
-  std::atomic<int> pinned{0};
-  std::atomic<int> shared{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.run_on(static_cast<std::size_t>(i), [&] { pinned.fetch_add(1); });
-    pool.submit([&] { shared.fetch_add(1); });
+  // Lane 3 throws at once; lanes 1 and 2 first sleep, then lane 1 returns
+  // and lane 2 throws. The caller must get lane 2's exception, the lowest
+  // lane's rather than the first thrown, and only after lane 1 returned.
+  std::atomic<int> returned{0};
+  const auto fn = [&](std::size_t lane) {
+    if (lane == 1 || lane == 2)
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (lane >= 2) throw std::runtime_error("lane" + std::to_string(lane));
+    returned.fetch_add(1);
+  };
+  try {
+    pool.run_lanes(fn);
+    ADD_FAILURE() << "expected lane 2's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "lane2");
+    EXPECT_EQ(returned.load(), 2);  // lanes 0 and 1
   }
-  pool.wait_idle();
-  EXPECT_EQ(pinned.load(), 64);
-  EXPECT_EQ(shared.load(), 64);
-  pool.parallel_for(32, [&](std::size_t) { shared.fetch_add(1); });
-  EXPECT_EQ(shared.load(), 96);
+  // The pool serves the next call, and the old exceptions are gone.
+  std::vector<int> hits(pool.size(), 0);
+  pool.run_lanes([&hits](std::size_t lane) { ++hits[lane]; });
+  EXPECT_EQ(hits, std::vector<int>(pool.size(), 1));
+}
+
+TEST(ThreadPool, RunLanesRunsLaneZeroInlineOnSizeOnePool) {
+  sim::ThreadPool pool(1);
+  std::vector<std::size_t> lanes;
+  std::thread::id ran;
+  pool.run_lanes([&](std::size_t lane) {
+    lanes.push_back(lane);
+    ran = std::this_thread::get_id();
+  });
+  EXPECT_EQ(lanes, std::vector<std::size_t>{0});
+  EXPECT_EQ(ran, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, ThreadCountsAboveTheCapThrowBeforeStartingWorkers) {
+  // Neither construction gets as far as starting a thread.
+  EXPECT_THROW(sim::ThreadPool(sim::ThreadPool::kMaxThreads + 1),
+               std::invalid_argument);
+  EXPECT_THROW(sim::ThreadPool(SIZE_MAX), std::invalid_argument);
 }
