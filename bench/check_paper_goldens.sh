@@ -48,8 +48,10 @@ for h in fig1_keywords fig2_design_articles fig3_review_scores \
   "$b/$h" | check "$paper/$h.txt"
 done
 "$b/table9_portfolio" | check "$root/bench/goldens/table9_portfolio.txt"
-"$b/table7_serverless" --faults=20 | check "$paper/table7_serverless_faults20.txt"
-"$b/sec67_autoscaling" --faults=10 | check "$paper/sec67_autoscaling_faults10.txt"
+"$b/table7_serverless" --faults=20 |
+  check "$paper/table7_serverless_faults20.txt"
+"$b/sec67_autoscaling" --faults=10 |
+  check "$paper/sec67_autoscaling_faults10.txt"
 "$b/table8_graphalytics" --benchmark_filter=NONE 2> /dev/null |
   sed '/^measured native run:/d' | check "$paper/table8_graphalytics.txt"
 for x in datacenter_scheduling graphalytics_run mmog_operations p2p_swarm \
