@@ -7,7 +7,6 @@
 // (the "Native-1N" platform measured for real).
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "atlarge/graph/granula.hpp"
 #include "atlarge/graph/graph.hpp"
 #include "atlarge/graph/pad.hpp"
+#include "atlarge/sim/thread_pool.hpp"
 #include "bench_util.hpp"
 
 using namespace atlarge;
@@ -135,22 +135,23 @@ BENCHMARK(BM_Sssp);
 
 int main(int argc, char** argv) {
   // --threads=N parallelizes the kernel runs behind the studies (results
-  // are thread-count independent). Stripped before google-benchmark sees
-  // the arguments.
-  std::uint32_t threads = 1;
+  // are thread-count independent; 0 runs one lane). Checked before any
+  // study runs and stripped before google-benchmark sees the arguments.
+  std::uint64_t threads = 1;
   std::vector<char*> args;
   args.reserve(static_cast<std::size_t>(argc));
   for (int i = 0; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      const long parsed = std::strtol(argv[i] + 10, nullptr, 10);
-      if (parsed > 0) threads = static_cast<std::uint32_t>(parsed);
+      threads = bench::parse_u64("--threads", argv[i] + 10);
+      if (threads > sim::ThreadPool::kMaxThreads)
+        bench::bad_flag("--threads", argv[i] + 10);
       continue;
     }
     args.push_back(argv[i]);
   }
   int filtered_argc = static_cast<int>(args.size());
-  pad_study(threads);
-  granula_study(threads);
+  pad_study(static_cast<std::uint32_t>(threads));
+  granula_study(static_cast<std::uint32_t>(threads));
   bench::header("Native-1N measured kernels (google-benchmark)");
   benchmark::Initialize(&filtered_argc, args.data());
   benchmark::RunSpecifiedBenchmarks();

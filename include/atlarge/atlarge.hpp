@@ -40,7 +40,6 @@
 #include "atlarge/design/catalog.hpp"
 #include "atlarge/design/design_space.hpp"
 #include "atlarge/design/exploration.hpp"
-#include "atlarge/design/memex.hpp"
 #include "atlarge/design/review.hpp"
 #include "atlarge/exp/adapter.hpp"
 #include "atlarge/exp/aggregate.hpp"
@@ -82,7 +81,6 @@
 #include "atlarge/sim/sharded.hpp"
 #include "atlarge/sim/simulation.hpp"
 #include "atlarge/stats/bootstrap.hpp"
-#include "atlarge/stats/correlation.hpp"
 #include "atlarge/stats/descriptive.hpp"
 #include "atlarge/stats/distributions.hpp"
 #include "atlarge/stats/rng.hpp"

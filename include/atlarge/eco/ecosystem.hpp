@@ -183,21 +183,8 @@ struct EcosystemResult {
   std::string summary() const;
 };
 
-/// One composed ecosystem. The spec is copied; run() may be called
-/// repeatedly (each run builds a fresh shared kernel) and is
-/// deterministic for a fixed spec.
-class Ecosystem {
- public:
-  explicit Ecosystem(EcosystemSpec spec);
-
-  const EcosystemSpec& spec() const noexcept { return spec_; }
-  EcosystemResult run() const;
-
- private:
-  EcosystemSpec spec_;
-};
-
-/// Convenience: Ecosystem(spec).run().
+/// Runs one composed ecosystem on a fresh shared kernel. Deterministic
+/// for a fixed spec: repeated runs of one spec return identical results.
 EcosystemResult run_ecosystem(const EcosystemSpec& spec);
 
 }  // namespace atlarge::eco

@@ -10,9 +10,9 @@
 // parallel execution therefore produce identical stores and identical
 // aggregates, byte for byte.
 //
-// Observability: the runner bumps exp.trials.{requested,executed,
+// Observability: the runner bumps exp.trials_{requested,executed,
 // memoized,skipped} counters, sets an exp.threads gauge, records an
-// exp.trial_wall_ms histogram, and emits one "exp.trial" span per
+// exp.trial_wall_ms digest, and emits one "exp.trial" span per
 // executed trial (plus an enclosing "exp.run" span) using wall seconds
 // since run() entry as the span timeline, so an exported Chrome trace
 // shows campaign fan-out lanes. Spans carry wall time, not simulated

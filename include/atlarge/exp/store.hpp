@@ -11,10 +11,11 @@
 // Lines are appended and flushed one at a time, so a killed campaign
 // loses at most the line being written. On open the store replays the
 // file, indexes every valid line by key, and *repairs* the file when the
-// tail is truncated or corrupt: valid lines are kept, the broken tail is
-// dropped (recovered()/discarded_lines() report what happened), and the
-// file is rewritten before appending resumes — so a crash-resume cycle
-// always leaves a well-formed JSONL file behind.
+// tail is truncated or corrupt or the last line lacks its newline: valid
+// lines are kept, the broken tail is dropped (recovered()/discarded_lines()
+// report what happened), and the file is rewritten before appending
+// resumes — so a crash-resume cycle always leaves a well-formed JSONL file
+// behind.
 //
 // Memoization is just lookup(): the TrialRunner consults the store before
 // running a trial and reuses the stored record on a hit, which makes

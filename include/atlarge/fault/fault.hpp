@@ -10,7 +10,7 @@
 //    same seed but different rates are supersets of one another, which is
 //    what makes "sweep faults.rate" campaigns monotone-comparable.
 //  * Applying a plan is purely deterministic: domains interpret events as
-//    windows/outages, so a plan replayed from its serialized form yields
+//    windows/outages, so a plan replayed against the same inputs yields
 //    byte-identical results (the chaos property tests pin this).
 //
 // Determinism contract (same discipline as the campaign engine): for a
@@ -19,7 +19,6 @@
 // per-trial from the trial seed and never shared mutable state.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace atlarge::fault {
@@ -35,10 +34,9 @@ enum class FaultKind : std::uint8_t {
 
 inline constexpr std::size_t kFaultKindCount = 6;
 
-/// Stable spec/serialization token ("machine_crash", "message_loss", ...).
+/// Stable token ("machine_crash", "message_loss", ...); names the
+/// `fault.injected.<kind>` counters.
 const char* to_string(FaultKind kind) noexcept;
-/// Parses a to_string token; false on unknown input.
-bool fault_kind_from_string(const std::string& token, FaultKind& out);
 /// Span/instant name for obs mirroring ("fault.machine_crash", ...);
 /// returns a string literal, safe to hand to obs::Tracer.
 const char* span_name(FaultKind kind) noexcept;
@@ -90,19 +88,6 @@ class FaultPlan {
 
   /// Events with time in [t0, t1), in plan order.
   std::vector<FaultEvent> events_between(double t0, double t1) const;
-
-  /// Line-oriented text form:
-  ///   faultplan v1
-  ///   seed 42
-  ///   event <time> <kind> <target> <duration> <magnitude>
-  /// Doubles are rendered with %.17g, so deserialize(serialize()) is an
-  /// exact (bitwise) round trip.
-  std::string serialize() const;
-  /// Parses serialize() output; throws std::invalid_argument (with a line
-  /// number) on malformed input. Times and durations must be finite and
-  /// >= 0, magnitudes finite, and seed and target unsigned integers in
-  /// range (no sign, no wrap-around), so a parsed plan always round-trips.
-  static FaultPlan deserialize(const std::string& text);
 
   bool operator==(const FaultPlan&) const = default;
 

@@ -121,7 +121,7 @@ struct ZoneEngine;
 
 /// Composable form of the zone world: the same engine simulate_zones
 /// runs, but over an externally owned sharded kernel so the world can
-/// share a clock with other domain simulators (eco::Ecosystem). Zones map
+/// share a clock with other domain simulators (eco::run_ecosystem). Zones map
 /// to LPs `lp_base + zone % lp_count`; `config.shard` is ignored and the
 /// kernel's lookahead must not exceed config.crossing_time (migrations
 /// ride the lookahead window exactly as in standalone runs).

@@ -16,8 +16,7 @@
 // runs produce byte-identical merged digests.
 //
 // Quantiles are reported as the upper edge of the target bucket clamped to
-// the observed [min, max], mirroring obs::Histogram's convention but at
-// kSub-times finer resolution. serialize()/deserialize() round-trip the
+// the observed [min, max]. serialize()/deserialize() round-trip the
 // exact state (%.17g doubles, sparse bucket encoding), so digests persist
 // through the campaign store byte-identically.
 

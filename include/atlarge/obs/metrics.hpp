@@ -1,6 +1,6 @@
 #pragma once
-// Metrics registry: named counters, gauges, and log-bucketed histograms
-// with O(1) hot-path updates.
+// Metrics registry: named counters, gauges, and quantile digests with
+// O(1) hot-path updates.
 //
 // The intended usage pattern is registration-then-update: a component
 // looks its instruments up by name once (O(log n), allocates), keeps the
@@ -9,16 +9,14 @@
 // Registry's lifetime — instruments live in node-based maps and are never
 // removed.
 //
-// Snapshots serialize to JSON (for programmatic consumers and the bench
-// harnesses) and to Prometheus text exposition format (dots in metric
-// names become underscores; histograms emit cumulative `le` buckets).
+// Snapshots serialize to JSON, for programmatic consumers and the bench
+// harnesses' --metrics-out files.
 //
 // Instruments are NOT thread-safe: update them from one thread at a time
 // (in this codebase, from simulation event handlers, which are serial by
 // construction — the parallel portfolio evaluation deliberately does not
 // touch the registry from worker threads).
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -47,53 +45,14 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Log-bucketed histogram: power-of-two buckets spanning ~1e-6 to ~2^43,
-/// so one increment per observation regardless of value range. Quantiles
-/// are bucket-resolution estimates (within a factor of 2), which is the
-/// right fidelity for "where did the latency mass go" questions; exact
-/// quantiles belong to the stats module's offline paths.
-class Histogram {
- public:
-  static constexpr int kBuckets = 64;
-  static constexpr int kMinExp = -20;  // bucket 0 holds values <= 2^-20
-
-  void observe(double v) noexcept;
-
-  std::uint64_t count() const noexcept { return count_; }
-  double sum() const noexcept { return sum_; }
-  double min() const noexcept { return count_ == 0 ? 0.0 : min_; }
-  double max() const noexcept { return count_ == 0 ? 0.0 : max_; }
-  double mean() const noexcept {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-  }
-
-  /// Upper-bound estimate of the q-quantile (q in [0,1]), clamped to the
-  /// observed max. Returns 0 when empty.
-  double quantile(double q) const noexcept;
-
-  const std::array<std::uint64_t, kBuckets>& buckets() const noexcept {
-    return buckets_;
-  }
-
-  /// Inclusive upper bound of bucket `i`; +inf for the last bucket.
-  static double bucket_upper_bound(int i) noexcept;
-
- private:
-  std::array<std::uint64_t, kBuckets> buckets_{};
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Named instrument registry; one per run/plane.
 class Registry {
  public:
   Counter& counter(const std::string& name) { return counters_[name]; }
   Gauge& gauge(const std::string& name) { return gauges_[name]; }
-  Histogram& histogram(const std::string& name) { return histograms_[name]; }
   /// Fine-grained mergeable quantile digest (see obs/digest.hpp) — the
-  /// instrument behind latency-quantile SLOs and campaign digest merging.
+  /// registry's one distribution instrument, behind latency-quantile SLOs
+  /// and campaign digest merging.
   Digest& digest(const std::string& name) { return digests_[name]; }
 
   const std::map<std::string, Counter>& counters() const noexcept {
@@ -102,29 +61,17 @@ class Registry {
   const std::map<std::string, Gauge>& gauges() const noexcept {
     return gauges_;
   }
-  const std::map<std::string, Histogram>& histograms() const noexcept {
-    return histograms_;
-  }
   const std::map<std::string, Digest>& digests() const noexcept {
     return digests_;
   }
 
-  /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,min,
-  /// max,mean,p50,p95,p99}},"digests":{name:{count,sum,min,max,mean,p50,
-  /// p95,p99,p999}}}
+  /// {"counters":{...},"gauges":{...},"digests":{name:{count,sum,min,max,
+  /// mean,p50,p95,p99,p999}}}
   std::string json() const;
-
-  /// Prometheus text exposition format: '.' in names mapped to '_', one
-  /// `# HELP`/`# TYPE` pair per family, label values escaped per the
-  /// exposition-format rules (backslash, double quote, newline).
-  /// Histograms emit cumulative `le` buckets; digests emit summaries with
-  /// `quantile` labels.
-  std::string prometheus() const;
 
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
   std::map<std::string, Digest> digests_;
 };
 

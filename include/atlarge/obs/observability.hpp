@@ -38,7 +38,7 @@ namespace atlarge::obs {
 /// Standard kernel instrumentation: event-transition counters
 /// (sim.events_scheduled / sim.events_fired / sim.events_cancelled), a
 /// queue-depth gauge (sim.queue_depth), a per-run executed-events
-/// histogram (sim.run_events), a system-allocator counter
+/// digest (sim.run_events), a system-allocator counter
 /// (sim.alloc_events — zero for a pre-sized steady-state run), and a
 /// "sim.run" span per run()/run_until().
 class KernelObserver final : public sim::Observer {
@@ -50,7 +50,7 @@ class KernelObserver final : public sim::Observer {
         cancelled_(&metrics.counter("sim.events_cancelled")),
         alloc_events_(&metrics.counter("sim.alloc_events")),
         queue_depth_(&metrics.gauge("sim.queue_depth")),
-        run_events_(&metrics.histogram("sim.run_events")) {}
+        run_events_(&metrics.digest("sim.run_events")) {}
 
   void on_schedule(sim::Time at, std::size_t pending) override {
     (void)at;
@@ -75,7 +75,7 @@ class KernelObserver final : public sim::Observer {
   }
 
   void on_run_end(sim::Time now, std::size_t executed) override {
-    run_events_->observe(static_cast<double>(executed));
+    run_events_->add(static_cast<double>(executed));
     tracer_->end("sim.run", "kernel", now);
   }
 
@@ -88,7 +88,7 @@ class KernelObserver final : public sim::Observer {
   Counter* cancelled_;
   Counter* alloc_events_;
   Gauge* queue_depth_;
-  Histogram* run_events_;
+  Digest* run_events_;
 };
 
 class Observability {
@@ -112,8 +112,8 @@ class Observability {
   /// hook when a continuous component is attached. Whoever owns a kernel
   /// calls this once before running it — the standalone wrappers
   /// (sched::simulate, serverless::run_platform, autoscale::run_elastic)
-  /// on their private kernel, eco::Ecosystem on its core LP. Engines that
-  /// borrow a kernel only emit domain spans and metrics.
+  /// on their private kernel, eco::run_ecosystem on its core LP. Engines
+  /// that borrow a kernel only emit domain spans and metrics.
   void attach(sim::Simulation& sim) {
     sim.set_observer(&kernel_);
     if (sim::SamplingHook* hook = sampling_hook())

@@ -65,7 +65,7 @@ struct PortfolioConfig {
   std::size_t eval_threads = 1;
   /// Optional instrumentation plane (not owned, may be null): emits a
   /// "portfolio.select" span per selection round plus round/what-if
-  /// counters and a best-utility histogram. Only touched from the serial
+  /// counters and a best-utility digest. Only touched from the serial
   /// sections of tick(), never from evaluation worker threads, and not
   /// inherited by clone() (a clone may be simulated on another thread).
   obs::Observability* obs = nullptr;

@@ -125,7 +125,7 @@ class SchedEngine;
 
 /// The scheduling engine on a borrowed kernel — `simulate` is this engine
 /// on a private kernel — so several domain simulators share one clock
-/// (eco::Ecosystem). prepare() schedules arrivals and fault hooks, the
+/// (eco::run_ecosystem). prepare() schedules arrivals and fault hooks, the
 /// caller runs the kernel, and collect() finalizes the result. The
 /// kernel's owner, not the driver, attaches options.obs to it. With no
 /// seam calls the event stream is byte-identical to a simulate() run.

@@ -145,7 +145,7 @@ PlatformResult run_platform(const std::vector<FunctionSpec>& registry,
                             const PlatformConfig& config);
 
 /// Backing substrate for instance provisioning — the seam through which a
-/// composition layer (eco::Ecosystem) replaces the platform's abstract
+/// composition layer (eco::run_ecosystem) replaces the platform's abstract
 /// instance pool with a real datacenter model. Every instance creation
 /// asks the substrate for a machine lease; every instance destruction
 /// returns it. A null backing is the abstract pool: creations always
@@ -173,7 +173,7 @@ class VectorSource;
 
 /// The platform engine on a borrowed kernel — run_platform is this engine
 /// on a private kernel — so several domain simulators share one clock
-/// (eco::Ecosystem). prepare() schedules prewarm pools, fault hooks, and
+/// (eco::run_ecosystem). prepare() schedules prewarm pools, fault hooks, and
 /// the first arrival; the caller runs the kernel past the platform's
 /// quiescence; collect() finalizes. The kernel's owner, not the driver,
 /// attaches config.obs to it. With a null backing and no fail_machine

@@ -1,8 +1,8 @@
 #pragma once
 // Descriptive statistics used throughout the benchmark harnesses: the paper
 // reports medians, means, IQRs (Figure 3), slowdowns and speedups (Sections
-// 6.1-6.7). Summary computes them in one pass over a sample; Accumulator
-// (Welford) supports streaming use inside simulators.
+// 6.1-6.7). Summary computes them in one pass over a sample; TimeWeighted
+// averages a piecewise-constant signal over simulated time.
 
 #include <cstddef>
 #include <span>
@@ -37,26 +37,6 @@ double quantile_sorted(std::span<const double> sorted, double q);
 
 /// Arithmetic mean; 0 for empty samples.
 double mean(std::span<const double> sample);
-
-/// Streaming mean/variance accumulator (Welford's algorithm).
-class Accumulator {
- public:
-  void add(double x) noexcept;
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return mean_; }
-  double variance() const noexcept;  // sample variance; 0 if n < 2
-  double stddev() const noexcept;
-  double min() const noexcept { return min_; }
-  double max() const noexcept { return max_; }
-  double sum() const noexcept { return mean_ * static_cast<double>(n_); }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Time-weighted average of a piecewise-constant signal, e.g. utilization
 /// or queue length over simulated time. Feed (time, value) observations in

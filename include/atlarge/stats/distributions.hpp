@@ -30,18 +30,6 @@ class Zipf {
   std::vector<double> cdf_;  // cumulative masses, cdf_.back() == 1.
 };
 
-/// Pareto (Type I) distribution with scale x_m > 0 and shape alpha > 0.
-class Pareto {
- public:
-  Pareto(double scale, double shape) noexcept;
-  double operator()(Rng& rng) const noexcept;
-  double mean() const noexcept;  // +inf when shape <= 1 (returns large value)
-
- private:
-  double scale_;
-  double shape_;
-};
-
 /// Bounded Pareto on [lo, hi] with shape alpha; the canonical model for
 /// task service demands in datacenter workloads.
 class BoundedPareto {
@@ -55,18 +43,6 @@ class BoundedPareto {
   double shape_;
 };
 
-/// Weibull distribution with scale lambda > 0 and shape k > 0.
-/// Models machine time-between-failures and session durations.
-class Weibull {
- public:
-  Weibull(double scale, double shape) noexcept;
-  double operator()(Rng& rng) const noexcept;
-
- private:
-  double scale_;
-  double shape_;
-};
-
 /// Lognormal distribution parameterized by the underlying normal's mu/sigma.
 class LogNormal {
  public:
@@ -77,18 +53,6 @@ class LogNormal {
  private:
   double mu_;
   double sigma_;
-};
-
-/// Discrete distribution over arbitrary weights (need not be normalized).
-class Discrete {
- public:
-  explicit Discrete(std::vector<double> weights);
-  /// Draws an index in [0, weights.size()).
-  std::size_t operator()(Rng& rng) const;
-  std::size_t size() const noexcept { return cdf_.size(); }
-
- private:
-  std::vector<double> cdf_;
 };
 
 }  // namespace atlarge::stats

@@ -614,13 +614,6 @@ std::string EcosystemResult::summary() const {
 
 // ----------------------------------------------------------- ecosystem --
 
-Ecosystem::Ecosystem(EcosystemSpec spec) : spec_(std::move(spec)) {}
-
-EcosystemResult Ecosystem::run() const {
-  EcoEngine engine(spec_);
-  return engine.run();
-}
-
 EcosystemResult run_ecosystem(const EcosystemSpec& spec) {
   EcoEngine engine(spec);
   return engine.run();

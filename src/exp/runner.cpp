@@ -128,10 +128,10 @@ std::vector<std::optional<TrialRecord>> TrialRunner::run(
     plane.metrics.counter("exp.trials_skipped").add(skipped);
     plane.metrics.gauge("exp.threads")
         .set(static_cast<double>(config_.threads));
-    auto& wall = plane.metrics.histogram("exp.trial_wall_ms");
+    auto& wall = plane.metrics.digest("exp.trial_wall_ms");
     plane.tracer.begin("exp.run", "exp", 0.0);
     for (const JobResult& job : results) {
-      wall.observe(job.end_ms - job.start_ms);
+      wall.add(job.end_ms - job.start_ms);
       plane.tracer.begin("exp.trial", "exp", job.start_ms / 1e3);
       plane.tracer.end("exp.trial", "exp", job.end_ms / 1e3);
     }

@@ -61,8 +61,17 @@ class JsonReader {
   bool value(JsonValue& out) {
     if (pos_ >= text_.size()) return false;
     switch (text_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
+      case '{':
+      case '[': {
+        // Store lines nest two containers deep; a corrupt line of
+        // brackets must be rejected, not recursed into until the stack
+        // runs out.
+        if (depth_ == kMaxDepth) return false;
+        ++depth_;
+        const bool ok = text_[pos_] == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.kind = JsonValue::Kind::kString;
         return string(out.string);
@@ -181,8 +190,11 @@ class JsonReader {
     return true;
   }
 
+  static constexpr int kMaxDepth = 32;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
@@ -249,6 +261,9 @@ void ResultStore::open_and_replay() {
       const std::string line = content.substr(start, end - start);
       start = end + (had_newline ? 1 : 0);
       if (line.empty()) continue;
+      // A last line without its newline is rewritten even when it parses:
+      // the next append would otherwise run on into it and lose both.
+      if (!had_newline) needs_repair = true;
       TrialRecord record;
       if (parse_trial_line(line, record)) {
         if (records_.emplace(record.key, std::move(record)).second)

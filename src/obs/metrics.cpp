@@ -1,57 +1,8 @@
 #include "atlarge/obs/metrics.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "atlarge/obs/json.hpp"
 
 namespace atlarge::obs {
-
-void Histogram::observe(double v) noexcept {
-  if (count_ == 0) {
-    min_ = v;
-    max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  ++count_;
-  sum_ += v;
-
-  int idx = 0;
-  if (v > 0.0) {
-    if (std::isinf(v)) {
-      idx = kBuckets - 1;
-    } else {
-      // ilogb(v) = floor(log2 v): values in (2^(e), 2^(e+1)] land in the
-      // bucket whose upper bound is 2^(e+1).
-      idx = std::clamp(std::ilogb(v) - kMinExp + 1, 0, kBuckets - 1);
-    }
-  } else if (std::isnan(v)) {
-    idx = kBuckets - 1;
-  }
-  ++buckets_[idx];
-}
-
-double Histogram::quantile(double q) const noexcept {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(count_)));
-  std::uint64_t cumulative = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    cumulative += buckets_[i];
-    if (cumulative >= target)
-      return std::min(bucket_upper_bound(i), max_);
-  }
-  return max_;
-}
-
-double Histogram::bucket_upper_bound(int i) noexcept {
-  if (i >= kBuckets - 1) return std::numeric_limits<double>::infinity();
-  return std::ldexp(1.0, kMinExp + i);
-}
 
 std::string Registry::json() const {
   JsonWriter w;
@@ -61,20 +12,6 @@ std::string Registry::json() const {
   w.end_object();
   w.key("gauges").begin_object();
   for (const auto& [name, g] : gauges_) w.key(name).value(g.value());
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : histograms_) {
-    w.key(name).begin_object();
-    w.key("count").value(h.count());
-    w.key("sum").value(h.sum());
-    w.key("min").value(h.min());
-    w.key("max").value(h.max());
-    w.key("mean").value(h.mean());
-    w.key("p50").value(h.quantile(0.5));
-    w.key("p95").value(h.quantile(0.95));
-    w.key("p99").value(h.quantile(0.99));
-    w.end_object();
-  }
   w.end_object();
   w.key("digests").begin_object();
   for (const auto& [name, d] : digests_) {
@@ -93,108 +30,6 @@ std::string Registry::json() const {
   w.end_object();
   w.end_object();
   return w.str();
-}
-
-namespace {
-
-std::string prom_name(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    if (!ok) c = '_';
-  }
-  return out;
-}
-
-std::string prom_number(double v) {
-  if (std::isnan(v)) return "NaN";
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
-
-/// Label-value escaping per the exposition format: backslash, double
-/// quote, and newline must be escaped; everything else passes through.
-std::string prom_label_value(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (const char c : v) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-/// HELP text escaping: backslash and newline only (quotes are legal).
-std::string prom_help_text(const std::string& v) {
-  std::string out;
-  out.reserve(v.size());
-  for (const char c : v) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-void prom_header(std::string& out, const std::string& n,
-                 const std::string& original, const char* type) {
-  out += "# HELP " + n + " atlarge metric " + prom_help_text(original) +
-         "\n";
-  out += "# TYPE " + n + " ";
-  out += type;
-  out += "\n";
-}
-
-}  // namespace
-
-std::string Registry::prometheus() const {
-  std::string out;
-  for (const auto& [name, c] : counters_) {
-    const std::string n = prom_name(name);
-    prom_header(out, n, name, "counter");
-    out += n + " " + std::to_string(c.value()) + "\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    const std::string n = prom_name(name);
-    prom_header(out, n, name, "gauge");
-    out += n + " " + prom_number(g.value()) + "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    const std::string n = prom_name(name);
-    prom_header(out, n, name, "histogram");
-    std::uint64_t cumulative = 0;
-    for (int i = 0; i < Histogram::kBuckets; ++i) {
-      if (h.buckets()[i] == 0) continue;  // sparse: skip empty buckets
-      cumulative += h.buckets()[i];
-      out += n + "_bucket{le=\"" +
-             prom_label_value(prom_number(Histogram::bucket_upper_bound(i))) +
-             "\"} " + std::to_string(cumulative) + "\n";
-    }
-    out += n + "_bucket{le=\"+Inf\"} " + std::to_string(h.count()) + "\n";
-    out += n + "_sum " + prom_number(h.sum()) + "\n";
-    out += n + "_count " + std::to_string(h.count()) + "\n";
-  }
-  for (const auto& [name, d] : digests_) {
-    const std::string n = prom_name(name);
-    prom_header(out, n, name, "summary");
-    static constexpr double kQuantiles[] = {0.5, 0.95, 0.99, 0.999};
-    for (const double q : kQuantiles) {
-      out += n + "{quantile=\"" + prom_label_value(prom_number(q)) + "\"} " +
-             prom_number(d.quantile(q)) + "\n";
-    }
-    out += n + "_sum " + prom_number(d.sum()) + "\n";
-    out += n + "_count " + std::to_string(d.count()) + "\n";
-  }
-  return out;
 }
 
 }  // namespace atlarge::obs

@@ -178,7 +178,7 @@ double PortfolioScheduler::tick(const SchedState& state,
     auto& m = config_.obs->metrics;
     m.counter("portfolio.rounds").add(1);
     m.counter("portfolio.what_if_sims").add(candidates.size());
-    m.histogram("portfolio.best_utility").observe(best_utility);
+    m.digest("portfolio.best_utility").add(best_utility);
     config_.obs->tracer.end("portfolio.select", "sched", state.now);
   }
 

@@ -49,26 +49,6 @@ Summary summarize(std::span<const double> sample) {
   return s;
 }
 
-void Accumulator::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double Accumulator::variance() const noexcept {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double Accumulator::stddev() const noexcept { return std::sqrt(variance()); }
-
 void TimeWeighted::observe(double time, double value) noexcept {
   if (!started_) {
     started_ = true;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace atlarge::stats {
@@ -33,18 +32,6 @@ double Zipf::pmf(std::size_t rank) const {
   return hi - lo;
 }
 
-Pareto::Pareto(double scale, double shape) noexcept
-    : scale_(scale), shape_(shape) {}
-
-double Pareto::operator()(Rng& rng) const noexcept {
-  return scale_ / std::pow(1.0 - rng.uniform(), 1.0 / shape_);
-}
-
-double Pareto::mean() const noexcept {
-  if (shape_ <= 1.0) return std::numeric_limits<double>::infinity();
-  return shape_ * scale_ / (shape_ - 1.0);
-}
-
 BoundedPareto::BoundedPareto(double lo, double hi, double shape) noexcept
     : lo_(lo), hi_(hi), shape_(shape) {}
 
@@ -56,13 +43,6 @@ double BoundedPareto::operator()(Rng& rng) const noexcept {
   return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / shape_);
 }
 
-Weibull::Weibull(double scale, double shape) noexcept
-    : scale_(scale), shape_(shape) {}
-
-double Weibull::operator()(Rng& rng) const noexcept {
-  return scale_ * std::pow(-std::log(1.0 - rng.uniform()), 1.0 / shape_);
-}
-
 LogNormal::LogNormal(double mu, double sigma) noexcept
     : mu_(mu), sigma_(sigma) {}
 
@@ -72,29 +52,6 @@ double LogNormal::operator()(Rng& rng) const noexcept {
 
 double LogNormal::mean() const noexcept {
   return std::exp(mu_ + sigma_ * sigma_ / 2.0);
-}
-
-Discrete::Discrete(std::vector<double> weights) {
-  if (weights.empty()) throw std::invalid_argument("Discrete: empty weights");
-  double total = 0.0;
-  for (double w : weights) {
-    if (w < 0.0) throw std::invalid_argument("Discrete: negative weight");
-    total += w;
-  }
-  if (total <= 0.0) throw std::invalid_argument("Discrete: zero total weight");
-  cdf_.resize(weights.size());
-  double run = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    run += weights[i] / total;
-    cdf_[i] = run;
-  }
-  cdf_.back() = 1.0;
-}
-
-std::size_t Discrete::operator()(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
 }
 
 }  // namespace atlarge::stats

@@ -1,7 +1,7 @@
 // Chaos property tests: every fault-aware domain honours the two fault
 // plane contracts (null/empty plan == byte-identical baseline; faulted
-// runs replay byte-identically, including from a serialized plan), and a
-// non-trivial plan demonstrably perturbs each domain. See chaos_util.hpp.
+// runs replay byte-identically under the same plan), and a non-trivial
+// plan demonstrably perturbs each domain. See chaos_util.hpp.
 
 #include <gtest/gtest.h>
 

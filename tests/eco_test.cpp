@@ -1,5 +1,5 @@
 // Cross-domain conformance suite for the ecosystem composition layer
-// (eco::Ecosystem). The contracts under test, per DESIGN.md section 13:
+// (eco::run_ecosystem). The contracts under test, per DESIGN.md section 13:
 //
 //  * a composed ecosystem is byte-identical across worker thread counts
 //    (1/2/8) and across shard layouts, including under an active shared
@@ -147,8 +147,9 @@ TEST(EcoConformance, ComposedByteIdenticalAcrossThreadsAndShardLayouts) {
 }
 
 TEST(EcoConformance, RepeatedRunsOfOneEcosystemAreIdentical) {
-  const eco::Ecosystem system(bound_spec());
-  EXPECT_EQ(system.run().summary(), system.run().summary());
+  const eco::EcosystemSpec spec = bound_spec();
+  EXPECT_EQ(eco::run_ecosystem(spec).summary(),
+            eco::run_ecosystem(spec).summary());
 }
 
 TEST(EcoConformance, TiedFaasArrivalsKeepLayoutInvariance) {

@@ -10,8 +10,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <map>
 #include <random>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -875,6 +878,101 @@ TEST(ResultStore, TornFinalLineWithoutNewlineIsDiscarded) {
   exp::ResultStore clean(path);
   EXPECT_EQ(clean.recovered(), 1u);
   EXPECT_EQ(clean.discarded_lines(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(ResultStore, MutationFuzzOpensOrThrowsAndRepairsCleanly) {
+  // Seeded mutation fuzz of a three-record store: 2,000 byte flips,
+  // truncations, repeated lines and hostile-line swaps (the store writes no
+  // spaces, so a token is a whole line). Every open must succeed or throw
+  // std::runtime_error. An open store accounts for every non-empty line,
+  // and its repaired file takes one more append and then reopens with
+  // nothing discarded and the same records, objectives bit for bit.
+  const auto path = temp_path("fuzz.jsonl");
+  std::remove(path.c_str());
+  {
+    exp::ResultStore store(path);
+    for (int i = 0; i < 3; ++i) {
+      exp::TrialRecord record;
+      record.key = "key_" + std::to_string(i);
+      record.objective = canonical(0.1 * (i + 1));
+      record.metrics = {{"m", canonical(1.0 / (i + 3))}};
+      obs::Digest digest;
+      digest.add(0.5 * (i + 1));
+      record.digest = digest.serialize();
+      exp::TrialRowContext ctx;
+      ctx.domain = "linear";
+      ctx.repeat = static_cast<std::uint32_t>(i);
+      ctx.seed = 7;
+      ctx.params = {{"a", std::to_string(i)}};
+      store.append(record, ctx);
+    }
+  }
+  const std::string base = slurp(path);
+  const std::vector<std::string> hostile = {
+      "", "{}", "null", "nan", "\"", "{\"key\":",
+      "{\"key\":\"key_0\",\"objective\":9,\"metrics\":{}}",
+      "{\"key\":\"n\",\"objective\":nan,\"metrics\":{}}",
+      "{\"key\":\"big\",\"objective\":1e999,\"metrics\":{}}",
+      "{\"key\":\"\",\"objective\":1,\"metrics\":{}}",
+      "{\"key\":\"u\\u00\",\"objective\":1,\"metrics\":{}}",
+      std::string(100'000, '['), std::string(100'000, '{')};
+  const auto bits = [](double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  std::mt19937_64 rng(20261018);
+  int repaired = 0;
+  for (int iter = 0; iter < 2'000; ++iter) {
+    const std::string text = fuzz::mutate_text(base, iter, rng, hostile);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << text;
+    }
+    std::size_t lines = 0;
+    std::set<std::string> keys;
+    for (std::size_t start = 0; start < text.size();) {
+      std::size_t end = text.find('\n', start);
+      if (end == std::string::npos) end = text.size();
+      const std::string line = text.substr(start, end - start);
+      start = end + 1;
+      if (line.empty()) continue;
+      ++lines;
+      exp::TrialRecord record;
+      if (exp::parse_trial_line(line, record)) keys.insert(record.key);
+    }
+    std::map<std::string, std::uint64_t> objectives;
+    try {
+      exp::ResultStore store(path);
+      ASSERT_EQ(store.recovered() + store.discarded_lines(), lines) << text;
+      ASSERT_EQ(store.size(), keys.size()) << text;
+      for (const std::string& key : keys) {
+        const exp::TrialRecord* record = store.lookup(key);
+        ASSERT_NE(record, nullptr) << key;
+        objectives[key] = bits(record->objective);
+      }
+      if (store.discarded_lines() > 0) ++repaired;
+      ASSERT_EQ(store.lookup("fresh"), nullptr);
+      exp::TrialRecord fresh;
+      fresh.key = "fresh";
+      fresh.objective = 4.0;
+      store.append(fresh, {});
+    } catch (const std::runtime_error&) {
+      continue;
+    }
+    objectives["fresh"] = bits(4.0);
+    exp::ResultStore reopened(path);
+    ASSERT_EQ(reopened.discarded_lines(), 0u) << text;
+    ASSERT_EQ(reopened.recovered(), reopened.size()) << text;
+    ASSERT_EQ(reopened.size(), objectives.size()) << text;
+    for (const auto& [key, objective] : objectives) {
+      const exp::TrialRecord* record = reopened.lookup(key);
+      ASSERT_NE(record, nullptr) << key << "\n" << text;
+      EXPECT_EQ(bits(record->objective), objective) << key;
+    }
+  }
+  EXPECT_GT(repaired, 500);
   std::remove(path.c_str());
 }
 

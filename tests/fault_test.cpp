@@ -1,12 +1,11 @@
 // Unit tests for the atlarge::fault plane: kind tokens, plan generation
 // (determinism, validation, the subset-across-rates property), manual plan
-// editing, the exact serialize/deserialize round trip, retry backoff math,
-// and the kernel Injector (counters, obs mirroring, event ordering).
+// editing, retry backoff math, and the kernel Injector (counters, obs
+// mirroring, event ordering).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,7 +14,6 @@
 #include "atlarge/fault/injector.hpp"
 #include "atlarge/obs/observability.hpp"
 #include "atlarge/sim/simulation.hpp"
-#include "fuzz_util.hpp"
 
 namespace {
 
@@ -32,20 +30,16 @@ const std::vector<FaultKind> kAllKinds = {
 };
 
 TEST(FaultKind, StringRoundTripsAllKinds) {
+  // The tokens name the fault.injected.<kind> counters, so each kind needs
+  // its own.
+  std::vector<std::string> tokens;
   for (FaultKind kind : kAllKinds) {
     const std::string token = fault::to_string(kind);
     EXPECT_FALSE(token.empty());
-    FaultKind parsed = FaultKind::kChurnSpike;
-    ASSERT_TRUE(fault::fault_kind_from_string(token, parsed)) << token;
-    EXPECT_EQ(parsed, kind);
+    tokens.push_back(token);
   }
-}
-
-TEST(FaultKind, FromStringRejectsUnknownTokens) {
-  FaultKind parsed = FaultKind::kMachineCrash;
-  EXPECT_FALSE(fault::fault_kind_from_string("disk_fire", parsed));
-  EXPECT_FALSE(fault::fault_kind_from_string("", parsed));
-  EXPECT_FALSE(fault::fault_kind_from_string("Machine_Crash", parsed));
+  std::sort(tokens.begin(), tokens.end());
+  EXPECT_EQ(std::unique(tokens.begin(), tokens.end()), tokens.end());
 }
 
 TEST(FaultKind, SpanNamesArePrefixedAndDistinct) {
@@ -153,110 +147,6 @@ TEST(FaultPlan, EventsBetweenIsHalfOpen) {
   EXPECT_EQ(window[0].target, 0u);
   EXPECT_EQ(window[1].target, 1u);
   EXPECT_TRUE(plan.events_between(31.0, 40.0).empty());
-}
-
-TEST(FaultPlanSerde, RoundTripIsExact) {
-  FaultSpec spec = base_spec(30.0, 7);
-  const FaultPlan plan = FaultPlan::generate(spec);
-  const FaultPlan back = FaultPlan::deserialize(plan.serialize());
-  EXPECT_EQ(plan, back);
-  EXPECT_EQ(back.seed(), 7u);
-}
-
-TEST(FaultPlanSerde, RoundTripsAwkwardDoubles) {
-  FaultPlan plan;
-  plan.add({0.1 + 0.2, FaultKind::kSlowdown, 3, 1.0 / 3.0, 0.1});
-  const FaultPlan back = FaultPlan::deserialize(plan.serialize());
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back.events()[0].time, 0.1 + 0.2);  // bitwise, not approximate
-  EXPECT_EQ(back.events()[0].duration, 1.0 / 3.0);
-}
-
-TEST(FaultPlanSerde, EmptyPlanRoundTrips) {
-  const FaultPlan plan;
-  const FaultPlan back = FaultPlan::deserialize(plan.serialize());
-  EXPECT_EQ(plan, back);
-  EXPECT_TRUE(back.empty());
-}
-
-TEST(FaultPlanSerde, RejectsMalformedInput) {
-  EXPECT_THROW(FaultPlan::deserialize(""), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::deserialize("faultplan v2\nseed 1\n"),
-               std::invalid_argument);
-  EXPECT_THROW(
-      FaultPlan::deserialize("faultplan v1\nseed 1\nevent 1 disk_fire 0 1 0.5\n"),
-      std::invalid_argument);
-  // Out-of-order event times are rejected.
-  EXPECT_THROW(FaultPlan::deserialize("faultplan v1\nseed 1\n"
-                                      "event 5 machine_crash 0 1 0.5\n"
-                                      "event 1 machine_crash 0 1 0.5\n"),
-               std::invalid_argument);
-  // So are signed, out-of-range and non-finite fields, on their own line:
-  // none may wrap (target -1 read as 4294967295, seed -5 as 2^64 - 5),
-  // truncate (target 2^32 read as 0) or pass through as inf/nan.
-  for (const char* bad : {"seed -5",
-                          "seed 18446744073709551616",
-                          "event 1 machine_crash -1 1 0.5",
-                          "event 1 machine_crash 4294967296 1 0.5",
-                          "event -3 message_loss 2 1 0.5",
-                          "event 1 message_loss 2 -1 0.5",
-                          "event inf message_loss 2 1 0.5",
-                          "event 1 message_loss 2 inf 0.5",
-                          "event 1 message_loss 2 1 nan",
-                          "event -3 message_loss 2 inf nan"}) {
-    try {
-      FaultPlan::deserialize(std::string("faultplan v1\n") + bad + "\n");
-      ADD_FAILURE() << "accepted '" << bad << "'";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
-          << e.what();
-    }
-  }
-  // The widest values each field does take still parse.
-  const FaultPlan edge = FaultPlan::deserialize(
-      "faultplan v1\nseed 18446744073709551615\n"
-      "event 0 slowdown 4294967295 0 1\n");
-  EXPECT_EQ(edge.seed(), 18446744073709551615u);
-  ASSERT_EQ(edge.size(), 1u);
-  EXPECT_EQ(edge.events()[0].target, 4294967295u);
-}
-
-TEST(FaultPlanSerde, MutationFuzzParsesOrThrowsAndRoundTrips) {
-  // Seeded mutation fuzz: 5,000 byte flips, truncations, repeated lines
-  // and hostile-token swaps of a serialized five-event plan. Every parse
-  // must return a plan or throw std::invalid_argument, and a parsed plan
-  // must survive serialize() -> deserialize() unchanged (a nan field, for
-  // one, would not).
-  const std::string base = FaultPlan::generate(base_spec(2.5, 11)).serialize();
-  ASSERT_EQ(FaultPlan::deserialize(base).size(), 5u);
-  const std::vector<std::string> hostile = {
-      "-1", "-5", "-0", "4294967295", "4294967296", "18446744073709551616",
-      "nan", "inf", "-inf", "1e999", "1e-320", "0x1p3", "slowdown",
-      "faultplan", "v1", "event", "seed", ""};
-  std::mt19937_64 rng(20261017);
-  int parsed = 0, rejected = 0;
-  for (int iter = 0; iter < 5'000; ++iter) {
-    const std::string text = fuzz::mutate_text(base, iter, rng, hostile);
-    try {
-      const FaultPlan plan = FaultPlan::deserialize(text);
-      EXPECT_EQ(FaultPlan::deserialize(plan.serialize()), plan) << text;
-      ++parsed;
-    } catch (const std::invalid_argument&) {
-      ++rejected;
-    }
-  }
-  EXPECT_GT(parsed, 500);
-  EXPECT_GT(rejected, 500);
-}
-
-TEST(FaultPlanSerde, ErrorsNameTheOffendingLine) {
-  try {
-    FaultPlan::deserialize("faultplan v1\nseed 1\nevent nonsense\n");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
-        << e.what();
-  }
 }
 
 TEST(RetryPolicy, DefaultsAreNoOp) {

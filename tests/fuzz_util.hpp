@@ -1,8 +1,8 @@
 #pragma once
 // Seeded mutations of a valid text input, shared by the line-oriented
-// parser fuzz tests (campaign specs, fault plans). Each call derives one
-// mutant from the base text; a fixed seed and a fixed iteration count
-// make every run replay the same mutants.
+// parser fuzz tests (campaign specs, the JSONL result store). Each call
+// derives one mutant from the base text; a fixed seed and a fixed
+// iteration count make every run replay the same mutants.
 
 #include <cctype>
 #include <cstddef>

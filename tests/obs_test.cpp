@@ -138,161 +138,19 @@ TEST(Metrics, ReferencesStayValidAcrossRegistrations) {
   EXPECT_EQ(reg.counter("a").value(), 1u);
 }
 
-TEST(Metrics, HistogramMoments) {
-  obs::Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-  h.observe(1.0);
-  h.observe(2.0);
-  h.observe(4.0);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 7.0);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 4.0);
-  EXPECT_NEAR(h.mean(), 7.0 / 3.0, 1e-12);
-}
-
-TEST(Metrics, HistogramQuantileIsBucketUpperBoundEstimate) {
-  obs::Histogram h;
-  for (int i = 0; i < 99; ++i) h.observe(1.0);
-  h.observe(1000.0);
-  // p50 lands in the bucket containing 1.0; the estimate is that bucket's
-  // upper bound (within a factor of 2 of the true value), clamped to max.
-  EXPECT_LE(h.quantile(0.5), 2.0);
-  EXPECT_GE(h.quantile(0.5), 0.5);
-  // p100 is clamped to the observed max, never the bucket bound above it.
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 1000.0);
-}
-
-TEST(Metrics, HistogramExtremeValuesLandInEdgeBuckets) {
-  obs::Histogram h;
-  h.observe(0.0);     // below the smallest bound -> bucket 0
-  h.observe(1e-30);   // far below 2^-20 -> bucket 0
-  h.observe(1e300);   // far above the top bound -> last bucket
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.buckets().front(), 2u);
-  EXPECT_EQ(h.buckets().back(), 1u);
-}
-
 TEST(Metrics, JsonSnapshotShape) {
   obs::Registry reg;
   reg.counter("runs").add(2);
   reg.gauge("depth").set(1.5);
-  reg.histogram("lat").observe(0.25);
+  reg.digest("lat").add(0.25);
   const std::string json = reg.json();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"runs\":2"), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"depth\":1.5"), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  EXPECT_NE(json.find("\"digests\""), std::string::npos);
+  EXPECT_EQ(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"count\":1"), std::string::npos);
-}
-
-TEST(Metrics, PrometheusExposition) {
-  obs::Registry reg;
-  reg.counter("sim.events_fired").add(3);
-  reg.gauge("sim.queue_depth").set(2.0);
-  auto& h = reg.histogram("sched.task_wait");
-  h.observe(0.5);
-  h.observe(100.0);
-  const std::string prom = reg.prometheus();
-  // Dots become underscores; TYPE lines present; cumulative buckets end
-  // with +Inf == count.
-  EXPECT_NE(prom.find("# TYPE sim_events_fired counter"), std::string::npos);
-  EXPECT_NE(prom.find("sim_events_fired 3"), std::string::npos);
-  EXPECT_NE(prom.find("sim_queue_depth 2"), std::string::npos);
-  EXPECT_NE(prom.find("sched_task_wait_bucket{le=\"+Inf\"} 2"),
-            std::string::npos);
-  EXPECT_NE(prom.find("sched_task_wait_count 2"), std::string::npos);
-}
-
-TEST(Metrics, PrometheusExpositionConformance) {
-  obs::Registry reg;
-  reg.counter("sim.events_fired").add(3);
-  reg.gauge("weird name!").set(1.0);  // sanitized to weird_name_
-  reg.gauge("esc\\ape\nme").set(2.0);
-  auto& h = reg.histogram("sched.task_wait");
-  h.observe(0.5);
-  h.observe(100.0);
-  auto& d = reg.digest("faas.latency");
-  for (int i = 1; i <= 100; ++i) d.add(static_cast<double>(i));
-  const std::string prom = reg.prometheus();
-
-  // Name sanitization maps every illegal character to '_'.
-  EXPECT_NE(prom.find("weird_name_ 1"), std::string::npos);
-  // HELP text carries the original name with backslash/newline escaped
-  // (quotes are legal in HELP per the exposition format).
-  EXPECT_NE(prom.find("# HELP esc_ape_me atlarge metric esc\\\\ape\\nme\n"),
-            std::string::npos);
-  // Digests export as summaries: quantile-labelled samples + _sum/_count.
-  EXPECT_NE(prom.find("# TYPE faas_latency summary"), std::string::npos);
-  EXPECT_NE(prom.find("faas_latency{quantile=\"0.5\"} "), std::string::npos);
-  EXPECT_NE(prom.find("faas_latency{quantile=\"0.999\"} "),
-            std::string::npos);
-  EXPECT_NE(prom.find("faas_latency_sum 5050"), std::string::npos);
-  EXPECT_NE(prom.find("faas_latency_count 100"), std::string::npos);
-
-  // Structural conformance: every line is "# HELP ...", "# TYPE ...", or
-  // "<name>[{labels}] <value>"; every sample's base name was declared by
-  // a preceding # TYPE header; names stay within [a-zA-Z0-9_:].
-  std::vector<std::string> declared;
-  std::size_t pos = 0;
-  while (pos < prom.size()) {
-    const std::size_t eol = prom.find('\n', pos);
-    ASSERT_NE(eol, std::string::npos) << "exposition must end in a newline";
-    const std::string line = prom.substr(pos, eol - pos);
-    pos = eol + 1;
-    ASSERT_FALSE(line.empty());
-    if (line[0] == '#') {
-      const bool help = line.rfind("# HELP ", 0) == 0;
-      const bool type = line.rfind("# TYPE ", 0) == 0;
-      EXPECT_TRUE(help || type) << line;
-      if (type) {
-        const std::string rest = line.substr(7);
-        declared.push_back(rest.substr(0, rest.find(' ')));
-      }
-      continue;
-    }
-    std::size_t name_end = line.find('{');
-    if (name_end == std::string::npos) name_end = line.find(' ');
-    ASSERT_NE(name_end, std::string::npos) << line;
-    const std::string name = line.substr(0, name_end);
-    for (const char c : name) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '_' || c == ':';
-      EXPECT_TRUE(ok) << "bad metric name char in: " << line;
-    }
-    bool owned = false;
-    for (const auto& base : declared) {
-      if (name == base || name == base + "_bucket" ||
-          name == base + "_sum" || name == base + "_count")
-        owned = true;
-    }
-    EXPECT_TRUE(owned) << "sample without a # TYPE header: " << line;
-    // A sample line ends in a space-separated value.
-    EXPECT_NE(line.rfind(' '), std::string::npos) << line;
-  }
-}
-
-TEST(Metrics, PrometheusLabelValueEscaping) {
-  // Histogram le labels and summary quantile labels are produced from
-  // numbers, so the interesting escapes come via prom_number("+Inf") and
-  // the quoting itself: assert the +Inf bucket label survives intact and
-  // that no label value contains a raw unescaped quote.
-  obs::Registry reg;
-  auto& h = reg.histogram("lat");
-  h.observe(1.0);
-  const std::string prom = reg.prometheus();
-  EXPECT_NE(prom.find("lat_bucket{le=\"+Inf\"} 1"), std::string::npos);
-  // Every quoted label value must close before the next '}'.
-  std::size_t pos = 0;
-  while ((pos = prom.find("{le=\"", pos)) != std::string::npos) {
-    pos += 5;
-    const std::size_t close = prom.find('"', pos);
-    const std::size_t brace = prom.find('}', pos);
-    ASSERT_NE(close, std::string::npos);
-    EXPECT_LT(close, brace) << "unterminated label value";
-  }
 }
 
 TEST(Metrics, JsonSnapshotIncludesDigestQuantiles) {
@@ -464,10 +322,9 @@ TEST(KernelObserver, CountersMatchPendingAcrossTransitions) {
 
   const std::size_t executed = s.run_until(4.5);
   check();
-  // Single run so far: the histogram's sum is exactly `executed`.
-  EXPECT_DOUBLE_EQ(
-      static_cast<double>(executed),
-      plane.metrics.histograms().at("sim.run_events").sum());
+  // Single run so far: the digest's sum is exactly `executed`.
+  EXPECT_DOUBLE_EQ(static_cast<double>(executed),
+                   plane.metrics.digests().at("sim.run_events").sum());
   s.run();
   check();
   EXPECT_EQ(fired_count, 8u);
@@ -502,9 +359,9 @@ TEST(KernelObserver, RunSpanAndRunEventsHistogram) {
   for (int i = 0; i < 5; ++i) s.schedule_at(static_cast<double>(i), [] {});
   s.run();
 
-  const auto& h = plane.metrics.histograms().at("sim.run_events");
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_DOUBLE_EQ(h.sum(), 5.0);
+  const auto& d = plane.metrics.digests().at("sim.run_events");
+  EXPECT_EQ(d.count(), 1u);
+  EXPECT_DOUBLE_EQ(d.sum(), 5.0);
 
   const auto recs = plane.tracer.records();
   ASSERT_EQ(recs.size(), 2u);

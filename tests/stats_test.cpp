@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "atlarge/stats/bootstrap.hpp"
-#include "atlarge/stats/correlation.hpp"
 #include "atlarge/stats/descriptive.hpp"
 #include "atlarge/stats/distributions.hpp"
 #include "atlarge/stats/rng.hpp"
@@ -44,9 +43,9 @@ TEST(Rng, UniformInUnitInterval) {
 
 TEST(Rng, UniformMeanNearHalf) {
   stats::Rng rng(11);
-  stats::Accumulator acc;
-  for (int i = 0; i < 100'000; ++i) acc.add(rng.uniform());
-  EXPECT_NEAR(acc.mean(), 0.5, 0.01);
+  std::vector<double> sample;
+  for (int i = 0; i < 100'000; ++i) sample.push_back(rng.uniform());
+  EXPECT_NEAR(stats::mean(sample), 0.5, 0.01);
 }
 
 TEST(Rng, UniformIntCoversRangeInclusive) {
@@ -79,17 +78,18 @@ TEST(Rng, BernoulliEdgeCases) {
 
 TEST(Rng, NormalMoments) {
   stats::Rng rng(17);
-  stats::Accumulator acc;
-  for (int i = 0; i < 100'000; ++i) acc.add(rng.normal(10.0, 2.0));
-  EXPECT_NEAR(acc.mean(), 10.0, 0.05);
-  EXPECT_NEAR(acc.stddev(), 2.0, 0.05);
+  std::vector<double> sample;
+  for (int i = 0; i < 100'000; ++i) sample.push_back(rng.normal(10.0, 2.0));
+  const auto s = stats::summarize(sample);
+  EXPECT_NEAR(s.mean, 10.0, 0.05);
+  EXPECT_NEAR(s.stddev, 2.0, 0.05);
 }
 
 TEST(Rng, ExponentialMeanMatchesRate) {
   stats::Rng rng(23);
-  stats::Accumulator acc;
-  for (int i = 0; i < 100'000; ++i) acc.add(rng.exponential(0.25));
-  EXPECT_NEAR(acc.mean(), 4.0, 0.1);
+  std::vector<double> sample;
+  for (int i = 0; i < 100'000; ++i) sample.push_back(rng.exponential(0.25));
+  EXPECT_NEAR(stats::mean(sample), 4.0, 0.1);
 }
 
 TEST(Rng, ForkIsIndependentAndDeterministic) {
@@ -132,21 +132,6 @@ TEST(Distributions, ZipfRejectsBadArgs) {
   EXPECT_THROW(stats::Zipf(10, 0.0), std::invalid_argument);
 }
 
-TEST(Distributions, ParetoAboveScale) {
-  stats::Pareto pareto(2.0, 1.5);
-  stats::Rng rng(3);
-  for (int i = 0; i < 5'000; ++i) EXPECT_GE(pareto(rng), 2.0);
-}
-
-TEST(Distributions, ParetoMean) {
-  stats::Pareto pareto(1.0, 3.0);
-  EXPECT_NEAR(pareto.mean(), 1.5, 1e-12);
-  stats::Rng rng(3);
-  stats::Accumulator acc;
-  for (int i = 0; i < 200'000; ++i) acc.add(pareto(rng));
-  EXPECT_NEAR(acc.mean(), 1.5, 0.02);
-}
-
 TEST(Distributions, BoundedParetoStaysInBounds) {
   stats::BoundedPareto bp(1.0, 100.0, 1.2);
   stats::Rng rng(3);
@@ -157,33 +142,12 @@ TEST(Distributions, BoundedParetoStaysInBounds) {
   }
 }
 
-TEST(Distributions, WeibullPositive) {
-  stats::Weibull weibull(10.0, 1.5);
-  stats::Rng rng(3);
-  for (int i = 0; i < 5'000; ++i) EXPECT_GT(weibull(rng), 0.0);
-}
-
 TEST(Distributions, LogNormalMeanMatchesFormula) {
   stats::LogNormal ln(1.0, 0.5);
   stats::Rng rng(3);
-  stats::Accumulator acc;
-  for (int i = 0; i < 200'000; ++i) acc.add(ln(rng));
-  EXPECT_NEAR(acc.mean(), ln.mean(), ln.mean() * 0.02);
-}
-
-TEST(Distributions, DiscreteRespectsWeights) {
-  stats::Discrete d({1.0, 0.0, 3.0});
-  stats::Rng rng(3);
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 40'000; ++i) ++counts[d(rng)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.2);
-}
-
-TEST(Distributions, DiscreteRejectsBadWeights) {
-  EXPECT_THROW(stats::Discrete({}), std::invalid_argument);
-  EXPECT_THROW(stats::Discrete({-1.0, 2.0}), std::invalid_argument);
-  EXPECT_THROW(stats::Discrete({0.0, 0.0}), std::invalid_argument);
+  std::vector<double> sample;
+  for (int i = 0; i < 200'000; ++i) sample.push_back(ln(rng));
+  EXPECT_NEAR(stats::mean(sample), ln.mean(), ln.mean() * 0.02);
 }
 
 // ------------------------------------------------------------ descriptive --
@@ -220,22 +184,6 @@ TEST(Descriptive, QuantileUnsortedInput) {
   EXPECT_DOUBLE_EQ(stats::quantile(sample, 0.5), 5.0);
 }
 
-TEST(Descriptive, AccumulatorMatchesBatch) {
-  stats::Rng rng(31);
-  std::vector<double> sample;
-  stats::Accumulator acc;
-  for (int i = 0; i < 1'000; ++i) {
-    const double x = rng.normal(5.0, 3.0);
-    sample.push_back(x);
-    acc.add(x);
-  }
-  const auto s = stats::summarize(sample);
-  EXPECT_NEAR(acc.mean(), s.mean, 1e-9);
-  EXPECT_NEAR(acc.stddev(), s.stddev, 1e-9);
-  EXPECT_DOUBLE_EQ(acc.min(), s.min);
-  EXPECT_DOUBLE_EQ(acc.max(), s.max);
-}
-
 TEST(Descriptive, TimeWeightedAverage) {
   stats::TimeWeighted tw;
   tw.observe(0.0, 10.0);
@@ -248,52 +196,6 @@ TEST(Descriptive, TimeWeightedSingleValue) {
   stats::TimeWeighted tw;
   tw.observe(2.0, 7.0);
   EXPECT_DOUBLE_EQ(tw.average(12.0), 7.0);
-}
-
-// ------------------------------------------------------------ correlation --
-
-TEST(Correlation, PearsonPerfectPositive) {
-  const std::vector<double> x = {1, 2, 3, 4};
-  const std::vector<double> y = {2, 4, 6, 8};
-  EXPECT_NEAR(stats::pearson(x, y), 1.0, 1e-12);
-}
-
-TEST(Correlation, PearsonPerfectNegative) {
-  const std::vector<double> x = {1, 2, 3, 4};
-  const std::vector<double> y = {8, 6, 4, 2};
-  EXPECT_NEAR(stats::pearson(x, y), -1.0, 1e-12);
-}
-
-TEST(Correlation, RanksHandleTies) {
-  const std::vector<double> v = {10, 20, 20, 30};
-  const auto r = stats::ranks(v);
-  EXPECT_DOUBLE_EQ(r[0], 1.0);
-  EXPECT_DOUBLE_EQ(r[1], 2.5);
-  EXPECT_DOUBLE_EQ(r[2], 2.5);
-  EXPECT_DOUBLE_EQ(r[3], 4.0);
-}
-
-TEST(Correlation, SpearmanMonotonicNonlinear) {
-  const std::vector<double> x = {1, 2, 3, 4, 5};
-  const std::vector<double> y = {1, 8, 27, 64, 125};  // monotone cubic
-  EXPECT_NEAR(stats::spearman(x, y), 1.0, 1e-12);
-}
-
-TEST(Correlation, KendallKnownValue) {
-  const std::vector<double> x = {1, 2, 3};
-  const std::vector<double> y = {1, 3, 2};  // one discordant pair of three
-  EXPECT_NEAR(stats::kendall(x, y), 1.0 / 3.0, 1e-12);
-}
-
-TEST(Correlation, DegenerateInputsReturnZero) {
-  const std::vector<double> one = {1.0};
-  const std::vector<double> two = {2.0};
-  EXPECT_EQ(stats::pearson(one, two), 0.0);
-  const std::vector<double> empty;
-  EXPECT_EQ(stats::spearman(empty, empty), 0.0);
-  const std::vector<double> constant = {1, 1, 1};
-  const std::vector<double> varying = {2, 3, 4};
-  EXPECT_EQ(stats::kendall(constant, varying), 0.0);
 }
 
 // ----------------------------------------------------------------- violin --
