@@ -79,6 +79,8 @@ class ResultStore {
 
   /// Indexes the record and, for persistent stores, appends + flushes its
   /// JSONL line. Re-appending an existing key is a no-op (idempotent).
+  /// Throws std::invalid_argument on an empty key or a non-finite
+  /// objective or metric, which JSON cannot hold.
   void append(const TrialRecord& record, const TrialRowContext& context);
 
   std::size_t size() const noexcept { return records_.size(); }
@@ -103,7 +105,9 @@ class ResultStore {
 
 /// Parses one JSONL store line into a record; returns false on any
 /// malformation (unterminated string, missing key/objective/metrics,
-/// trailing garbage). Exposed for tests and external tooling.
+/// trailing garbage) and on anything outside RFC 8259, such as `inf`,
+/// `nan`, `+2`, `01` or a lone surrogate escape. Exposed for tests and
+/// external tooling.
 bool parse_trial_line(const std::string& line, TrialRecord& out);
 
 }  // namespace atlarge::exp

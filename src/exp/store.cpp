@@ -1,6 +1,7 @@
 #include "atlarge/exp/store.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -12,9 +13,9 @@ namespace {
 
 // ------------------------------------------------------- mini JSON reader --
 // Just enough of RFC 8259 to read back the lines this store writes (and
-// reject anything mangled by a crash): objects, arrays, strings with the
-// escapes JsonWriter emits, numbers, true/false/null. No allocation
-// games — store lines are short.
+// reject anything mangled by a crash): objects, arrays, strings with
+// every RFC escape (\uXXXX decodes to UTF-8), numbers in the RFC grammar,
+// true/false/null. No allocation games — store lines are short.
 
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -139,6 +140,7 @@ class JsonReader {
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
       if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return false;  // unescaped
       if (c != '\\') {
         out += c;
         continue;
@@ -155,21 +157,17 @@ class JsonReader {
         case 'b': out += '\b'; break;
         case 'f': out += '\f'; break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) return false;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else return false;
+          unsigned cp = 0;
+          if (!hex4(cp)) return false;
+          if (cp >= 0xdc00 && cp <= 0xdfff) return false;  // lone low half
+          if (cp >= 0xd800 && cp <= 0xdbff) {  // needs its low half next
+            unsigned low = 0;
+            if (text_.compare(pos_, 2, "\\u") != 0) return false;
+            pos_ += 2;
+            if (!hex4(low) || low < 0xdc00 || low > 0xdfff) return false;
+            cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
           }
-          // Store lines only escape control characters; anything else in
-          // this range is decoded as a raw byte.
-          out += static_cast<char>(code & 0xff);
+          append_utf8(cp, out);
           break;
         }
         default: return false;
@@ -178,15 +176,73 @@ class JsonReader {
     return false;  // unterminated — the truncated-tail case
   }
 
+  /// Four hex digits of a \u escape.
+  bool hex4(unsigned& code) {
+    if (pos_ + 4 > text_.size()) return false;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_++];
+      code <<= 4;
+      if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+      else if (h >= 'a' && h <= 'f')
+        code |= static_cast<unsigned>(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F')
+        code |= static_cast<unsigned>(h - 'A' + 10);
+      else return false;
+    }
+    return true;
+  }
+
+  static void append_utf8(unsigned cp, std::string& out) {
+    if (cp < 0x80) {
+      out += static_cast<char>(cp);
+      return;
+    }
+    const int tail = cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+    static constexpr unsigned kLead[4] = {0, 0xc0, 0xe0, 0xf0};
+    out += static_cast<char>(kLead[tail] | (cp >> (6 * tail)));
+    for (int k = tail - 1; k >= 0; --k)
+      out += static_cast<char>(0x80 | ((cp >> (6 * k)) & 0x3f));
+  }
+
+  bool digits() {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
+      ++pos_;
+    return pos_ > from;
+  }
+
+  /// RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. strtod
+  /// alone would also take inf, nan, hex floats, a leading '+' or '.',
+  /// leading zeros and a trailing '.'.
   bool number(JsonValue& out) {
-    const char* start = text_.c_str() + pos_;
+    const std::size_t start = pos_;
+    if (text_[pos_] == '-') ++pos_;
+    if (pos_ < text_.size() && text_[pos_] == '0') {
+      ++pos_;  // a leading zero stands alone
+    } else if (!digits()) {
+      return false;
+    }
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      if (!digits()) return false;
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
+        ++pos_;
+      if (!digits()) return false;
+    }
+    const char* begin = text_.c_str() + start;
     char* end = nullptr;
     errno = 0;
-    const double v = std::strtod(start, &end);
-    if (end == start || errno == ERANGE) return false;
+    const double v = std::strtod(begin, &end);
+    // strtod reading past the grammar ("01", "0x1p3") is a malformed
+    // number. An overflow is rejected; an underflow (a subnormal or zero)
+    // is the nearest double and kept.
+    if (end != text_.c_str() + pos_ || (errno == ERANGE && std::isinf(v)))
+      return false;
     out.kind = JsonValue::Kind::kNumber;
     out.number = v;
-    pos_ += static_cast<std::size_t>(end - start);
     return true;
   }
 
@@ -327,6 +383,14 @@ void ResultStore::append(const TrialRecord& record,
                          const TrialRowContext& context) {
   if (record.key.empty())
     throw std::invalid_argument("ResultStore::append: empty key");
+  // JSON has no NaN or infinity: JsonWriter would write null, the next
+  // open would discard the line, and the trial would rerun on every resume.
+  bool finite = std::isfinite(record.objective);
+  for (const auto& [name, value] : record.metrics)
+    finite = finite && std::isfinite(value);
+  if (!finite)
+    throw std::invalid_argument("ResultStore::append: non-finite value in '" +
+                                record.key + "'");
   if (!records_.emplace(record.key, record).second) return;  // idempotent
   if (!file_) return;
   const std::string line = render_line(record, context);

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <random>
 #include <set>
@@ -22,6 +23,7 @@
 
 #include "atlarge/exp/adapter.hpp"
 #include "atlarge/exp/engine.hpp"
+#include "atlarge/obs/json.hpp"
 #include "atlarge/obs/observability.hpp"
 #include "fuzz_util.hpp"
 #include "golden_util.hpp"
@@ -323,6 +325,37 @@ double canonical(double v) {
   return std::strtod(buffer, nullptr);
 }
 
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// True when `s` is well-formed UTF-8: no stray continuation bytes and no
+// truncated, overlong or surrogate sequences, nothing past U+10FFFF.
+bool valid_utf8(const std::string& s) {
+  for (std::size_t i = 0; i < s.size();) {
+    const auto b = static_cast<unsigned char>(s[i]);
+    const std::size_t len = b < 0x80             ? 1
+                            : (b & 0xe0) == 0xc0 ? 2
+                            : (b & 0xf0) == 0xe0 ? 3
+                            : (b & 0xf8) == 0xf0 ? 4
+                                                 : 0;
+    if (len == 0 || i + len > s.size()) return false;
+    unsigned cp = len == 1 ? b : b & (0x7fu >> len);
+    for (std::size_t k = 1; k < len; ++k) {
+      const auto c = static_cast<unsigned char>(s[i + k]);
+      if ((c & 0xc0) != 0x80) return false;
+      cp = (cp << 6) | (c & 0x3fu);
+    }
+    static constexpr unsigned kMin[5] = {0, 0, 0x80, 0x800, 0x10000};
+    if (cp < kMin[len] || (cp >= 0xd800 && cp <= 0xdfff) || cp > 0x10ffff)
+      return false;
+    i += len;
+  }
+  return true;
+}
+
 TEST(ResultStore, JsonlRoundTripIsBitwiseForCanonicalValues) {
   const auto path = temp_path("roundtrip.jsonl");
   std::remove(path.c_str());
@@ -411,6 +444,152 @@ TEST(ResultStore, ParseLineRejectsMalformedInput) {
   EXPECT_DOUBLE_EQ(record.objective, 1.5);
   ASSERT_EQ(record.metrics.size(), 1u);
   EXPECT_DOUBLE_EQ(record.metrics[0].second, 2.0);
+}
+
+TEST(ResultStore, ParseLineAcceptsOnlyJsonNumbers) {
+  // strtod reads each of these; RFC 8259 reads none of them.
+  exp::TrialRecord record;
+  for (const char* number :
+       {"inf", "infinity", "-nan", "0x1p3", "+2", "01", ".5", "1."}) {
+    const std::string n = number;
+    EXPECT_FALSE(exp::parse_trial_line(
+        "{\"key\":\"k\",\"objective\":" + n + ",\"metrics\":{}}", record))
+        << n;
+    EXPECT_FALSE(exp::parse_trial_line(
+        "{\"key\":\"k\",\"objective\":1,\"metrics\":{\"m\":" + n + "}}",
+        record))
+        << n;
+  }
+  // Every JSON spelling reads as strtod would read it: an underflow to a
+  // subnormal is kept, an overflow to infinity is not.
+  for (const char* number :
+       {"0", "-0", "12", "-1.5", "2E+3", "2.5e-3", "1e-310", "1e-400"}) {
+    ASSERT_TRUE(exp::parse_trial_line(
+        std::string("{\"key\":\"k\",\"objective\":") + number +
+            ",\"metrics\":{}}",
+        record))
+        << number;
+    EXPECT_EQ(bits_of(record.objective),
+              bits_of(std::strtod(number, nullptr)))
+        << number;
+  }
+  EXPECT_FALSE(exp::parse_trial_line(
+      "{\"key\":\"k\",\"objective\":1e999,\"metrics\":{}}", record));
+}
+
+TEST(ResultStore, UnicodeEscapesDecodeToUtf8) {
+  const auto key_of = [](const std::string& quoted) {
+    exp::TrialRecord record;
+    return exp::parse_trial_line(
+               "{\"key\":\"" + quoted + "\",\"objective\":1,\"metrics\":{}}",
+               record)
+               ? record.key
+               : std::string("<rejected>");
+  };
+  EXPECT_EQ(key_of("\\ufffd"), "\xef\xbf\xbd");
+  EXPECT_EQ(key_of("a\\u00e9"), "a\xc3\xa9");
+  EXPECT_EQ(key_of("\\u0001z"), "\x01z");
+  EXPECT_EQ(key_of("\\ud83d\\ude00"), "\xf0\x9f\x98\x80");
+  EXPECT_EQ(key_of("\\uD83D\\uDE00"), "\xf0\x9f\x98\x80");
+  // A lone or reversed surrogate half and an unescaped control character
+  // are not valid JSON text.
+  for (const char* bad : {"\\ud800", "\\ud800z", "\\ud800\\u0041", "\\udc00",
+                          "\\ude00\\ud83d", "tab\there"})
+    EXPECT_EQ(key_of(bad), "<rejected>") << bad;
+  // JsonWriter escapes a U+FFFD in a key; the store reads back the same
+  // three bytes.
+  obs::JsonWriter w;
+  w.begin_object().key("key").value("\xef\xbf\xbd").key("objective");
+  w.value(1.0).key("metrics").begin_object().end_object().end_object();
+  exp::TrialRecord record;
+  ASSERT_TRUE(exp::parse_trial_line(w.str(), record)) << w.str();
+  EXPECT_EQ(record.key, "\xef\xbf\xbd");
+}
+
+TEST(ResultStore, AppendRejectsNonFiniteValues) {
+  // JSON has no NaN or infinity: a record holding one would be written
+  // as null, discarded at the next open and rerun on every resume.
+  const auto path = temp_path("nonfinite.jsonl");
+  std::remove(path.c_str());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  {
+    exp::ResultStore store(path);
+    exp::TrialRecord record;
+    record.key = "bad_objective";
+    record.objective = nan;
+    EXPECT_THROW(store.append(record, {}), std::invalid_argument);
+    record.key = "bad_metric";
+    record.objective = 1.0;
+    record.metrics = {{"ok", 2.0}, {"m", -inf}};
+    EXPECT_THROW(store.append(record, {}), std::invalid_argument);
+    EXPECT_EQ(store.size(), 0u);
+    record.key = "good";
+    record.metrics = {{"ok", 2.0}};
+    store.append(record, {});
+  }
+  exp::ResultStore reopened(path);
+  EXPECT_EQ(reopened.recovered(), 1u);
+  EXPECT_EQ(reopened.discarded_lines(), 0u);
+  EXPECT_NE(reopened.lookup("good"), nullptr);
+  EXPECT_EQ(reopened.lookup("bad_metric"), nullptr);
+  exp::ResultStore memory;
+  exp::TrialRecord record;
+  record.key = "memory";
+  record.objective = inf;
+  EXPECT_THROW(memory.append(record, {}), std::invalid_argument);
+  EXPECT_EQ(memory.size(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(ResultStore, JsonWriterFuzzLinesReadBackExactly) {
+  // 2,000 seeded random byte strings go through obs::JsonWriter as a key
+  // and a metric name, with random finite doubles as the values. Every
+  // line must parse; a valid UTF-8 string must read back byte for byte
+  // (an invalid one reads back with U+FFFD in place of each bad byte),
+  // and each value must read back bit for bit as its %.12g rendering.
+  const std::vector<double> edges = {
+      0.0, -0.0, std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(), 1.0 / 3.0};
+  std::mt19937_64 rng(20261018);
+  const auto random_finite = [&rng] {
+    double v = 0.0;
+    do {
+      const std::uint64_t b = rng();
+      std::memcpy(&v, &b, sizeof v);
+    } while (!std::isfinite(v));
+    return v;
+  };
+  int checked = 0;
+  for (int iter = 0; iter < 2'000; ++iter) {
+    const std::string key = fuzz::random_bytes(rng, 12);
+    const std::string name = fuzz::random_bytes(rng, 12);
+    const double objective =
+        iter < static_cast<int>(edges.size()) ? edges[iter] : random_finite();
+    const double metric = random_finite();
+    obs::JsonWriter w;
+    w.begin_object().key("key").value(key).key("objective").value(objective);
+    w.key("metrics").begin_object().key(name).value(metric).end_object();
+    w.end_object();
+    exp::TrialRecord record;
+    ASSERT_TRUE(exp::parse_trial_line(w.str(), record)) << w.str();
+    EXPECT_EQ(bits_of(record.objective), bits_of(canonical(objective)))
+        << w.str();
+    ASSERT_EQ(record.metrics.size(), 1u) << w.str();
+    EXPECT_EQ(bits_of(record.metrics[0].second), bits_of(canonical(metric)))
+        << w.str();
+    if (valid_utf8(key)) {
+      EXPECT_EQ(record.key, key) << w.str();
+      ++checked;
+    }
+    if (valid_utf8(name)) {
+      EXPECT_EQ(record.metrics[0].first, name) << w.str();
+    }
+    EXPECT_TRUE(valid_utf8(record.key)) << w.str();
+  }
+  EXPECT_GT(checked, 500);
 }
 
 // ---------------------------------------------------------------- runner --
@@ -917,11 +1096,6 @@ TEST(ResultStore, MutationFuzzOpensOrThrowsAndRepairsCleanly) {
       "{\"key\":\"\",\"objective\":1,\"metrics\":{}}",
       "{\"key\":\"u\\u00\",\"objective\":1,\"metrics\":{}}",
       std::string(100'000, '['), std::string(100'000, '{')};
-  const auto bits = [](double v) {
-    std::uint64_t b = 0;
-    std::memcpy(&b, &v, sizeof b);
-    return b;
-  };
   std::mt19937_64 rng(20261018);
   int repaired = 0;
   for (int iter = 0; iter < 2'000; ++iter) {
@@ -950,7 +1124,7 @@ TEST(ResultStore, MutationFuzzOpensOrThrowsAndRepairsCleanly) {
       for (const std::string& key : keys) {
         const exp::TrialRecord* record = store.lookup(key);
         ASSERT_NE(record, nullptr) << key;
-        objectives[key] = bits(record->objective);
+        objectives[key] = bits_of(record->objective);
       }
       if (store.discarded_lines() > 0) ++repaired;
       ASSERT_EQ(store.lookup("fresh"), nullptr);
@@ -961,7 +1135,7 @@ TEST(ResultStore, MutationFuzzOpensOrThrowsAndRepairsCleanly) {
     } catch (const std::runtime_error&) {
       continue;
     }
-    objectives["fresh"] = bits(4.0);
+    objectives["fresh"] = bits_of(4.0);
     exp::ResultStore reopened(path);
     ASSERT_EQ(reopened.discarded_lines(), 0u) << text;
     ASSERT_EQ(reopened.recovered(), reopened.size()) << text;
@@ -969,7 +1143,7 @@ TEST(ResultStore, MutationFuzzOpensOrThrowsAndRepairsCleanly) {
     for (const auto& [key, objective] : objectives) {
       const exp::TrialRecord* record = reopened.lookup(key);
       ASSERT_NE(record, nullptr) << key << "\n" << text;
-      EXPECT_EQ(bits(record->objective), objective) << key;
+      EXPECT_EQ(bits_of(record->objective), objective) << key;
     }
   }
   EXPECT_GT(repaired, 500);

@@ -1,8 +1,8 @@
 #pragma once
-// Seeded mutations of a valid text input, shared by the line-oriented
-// parser fuzz tests (campaign specs, the JSONL result store). Each call
-// derives one mutant from the base text; a fixed seed and a fixed
-// iteration count make every run replay the same mutants.
+// Seeded fuzz inputs, shared by the line-oriented parser fuzz tests
+// (campaign specs, the JSONL result store): mutants of a valid text input
+// and random byte strings. A fixed seed and a fixed iteration count make
+// every run replay the same inputs.
 
 #include <cctype>
 #include <cstddef>
@@ -64,6 +64,51 @@ inline std::string mutate_text(const std::string& base, int iter,
     }
   }
   return text;
+}
+
+/// A random non-empty byte string of up to `max_pieces` pieces. Each piece
+/// is an ASCII byte (control characters, quotes and backslashes
+/// included), one UTF-8 encoded code point from any plane (U+FFFD and
+/// the code points around the surrogate range included), or one raw byte
+/// from 0x80-0xff, so some strings are valid UTF-8 and some are not.
+inline std::string random_bytes(std::mt19937_64& rng, std::size_t max_pieces) {
+  static const std::vector<unsigned> kEdges = {
+      0x7f, 0x80, 0x7ff, 0x800, 0xd7ff, 0xe000, 0xfffd, 0xffff, 0x10000,
+      0x10ffff};
+  std::string out;
+  for (std::size_t n = 1 + rng() % max_pieces; n > 0; --n) {
+    switch (rng() % 8) {
+      case 0:
+        out += static_cast<char>(0x80 + rng() % 0x80);
+        break;
+      case 1:
+      case 2:
+        out += static_cast<char>(rng() % 0x80);
+        break;
+      default: {
+        unsigned cp = rng() % 2 ? kEdges[rng() % kEdges.size()]
+                                : static_cast<unsigned>(rng() % 0x110000);
+        if (cp >= 0xd800 && cp <= 0xdfff) cp = 0xfffd;  // no surrogates
+        if (cp < 0x80) {
+          out += static_cast<char>(cp);
+        } else if (cp < 0x800) {
+          out += static_cast<char>(0xc0 | (cp >> 6));
+          out += static_cast<char>(0x80 | (cp & 0x3f));
+        } else if (cp < 0x10000) {
+          out += static_cast<char>(0xe0 | (cp >> 12));
+          out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+          out += static_cast<char>(0x80 | (cp & 0x3f));
+        } else {
+          out += static_cast<char>(0xf0 | (cp >> 18));
+          out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
+          out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+          out += static_cast<char>(0x80 | (cp & 0x3f));
+        }
+        break;
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace atlarge::fuzz
