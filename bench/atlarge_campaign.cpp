@@ -18,28 +18,24 @@
 //   aggregate.json  ranked configurations, CIs, per-dimension marginals
 //   metrics.json    obs metrics snapshot (exp.trials_* counters etc.)
 //
-// --threads=N     override the spec's worker thread count
-// --max-trials=N  execute at most N new trials this invocation, then stop
-//                 (exit code 3; re-run to resume — CI uses this to test
-//                 the kill/resume path deterministically)
-// --trace=FILE    export a Chrome trace of the campaign fan-out
+// The flags are in README.md's harness flag table. --max-trials=N stops
+// after N new trials with exit code 3; CI re-runs to test the kill/resume
+// path deterministically.
 //
-// Exit codes: 0 = campaign complete; 2 = usage/spec error; 3 = campaign
-// incomplete (trial cap hit — resume by re-running).
+// Exit codes: 0 = campaign complete; 1 = an artifact could not be
+// written; 2 = usage/spec error; 3 = campaign incomplete (trial cap hit —
+// resume by re-running).
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "atlarge/exp/adapter.hpp"
 #include "atlarge/exp/engine.hpp"
 #include "atlarge/obs/observability.hpp"
+#include "bench_util.hpp"
 
 namespace {
 
@@ -54,37 +50,6 @@ int usage(std::FILE* to) {
       "       atlarge_campaign domains\n"
       "       atlarge_campaign example [domain]\n");
   return to == stderr ? 2 : 0;
-}
-
-/// Value of `--name=value` or `--name value`; empty when absent.
-std::string flag_value(const std::vector<std::string>& args,
-                       const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i].rfind(prefix, 0) == 0) return args[i].substr(prefix.size());
-    if (args[i] == "--" + name && i + 1 < args.size()) return args[i + 1];
-  }
-  return "";
-}
-
-std::size_t parse_count(const std::string& text, const char* what) {
-  // strtoull negates a leading '-' modulo 2^64 ("-1" reads as 2^64 - 1)
-  // and saturates past 2^64 - 1; both are usage errors here.
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (text[0] == '-' || end == text.c_str() || *end != '\0' ||
-      errno == ERANGE)
-    throw std::invalid_argument(std::string("bad ") + what + " '" + text +
-                                "'");
-  return static_cast<std::size_t>(v);
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << content;
-  out.flush();
-  return out.good();
 }
 
 int cmd_domains() {
@@ -125,13 +90,12 @@ int cmd_example(const std::string& domain) {
   return 0;
 }
 
-int cmd_run(const std::string& spec_path,
-            const std::vector<std::string>& args) {
+int cmd_run(const std::string& spec_path, const bench::HarnessOptions& opts) {
   const auto spec = exp::load_campaign_spec(spec_path);
   const auto adapter = exp::make_adapter(spec.domain);
 
-  std::string out_dir = flag_value(args, "out");
-  if (out_dir.empty()) out_dir = "campaign-" + spec.name;
+  const std::string out_dir =
+      opts.out.empty() ? "campaign-" + spec.name : opts.out;
   std::filesystem::create_directories(out_dir);
 
   obs::Observability plane;
@@ -146,15 +110,9 @@ int cmd_run(const std::string& spec_path,
 
   exp::RunnerConfig config;
   config.obs = &plane;
-  config.threads = 0;  // 0: run_campaign falls back to the spec's threads
-  const std::string threads = flag_value(args, "threads");
-  if (!threads.empty()) config.threads = parse_count(threads, "--threads");
-  const std::string cap = flag_value(args, "max-trials");
-  if (!cap.empty()) {
-    config.max_executed = parse_count(cap, "--max-trials");
-    if (config.max_executed == 0)
-      throw std::invalid_argument("--max-trials must be >= 1");
-  }
+  // 0: run_campaign falls back to the spec's threads.
+  config.threads = opts.threads.value_or(0);
+  if (opts.max_trials) config.max_executed = *opts.max_trials;
 
   const auto outcome = exp::run_campaign(spec, *adapter, store, config);
 
@@ -170,15 +128,12 @@ int cmd_run(const std::string& spec_path,
   std::printf("%s", exp::aggregate_table(outcome.aggregate, spec.top_k)
                         .c_str());
 
-  if (!write_file(out_dir + "/aggregate.json",
-                  exp::aggregate_json(outcome.aggregate) + "\n"))
-    throw std::runtime_error("cannot write " + out_dir + "/aggregate.json");
-  if (!write_file(out_dir + "/metrics.json", plane.metrics.json() + "\n"))
-    throw std::runtime_error("cannot write " + out_dir + "/metrics.json");
-
-  const std::string trace_path = flag_value(args, "trace");
-  if (!trace_path.empty() && !plane.tracer.write_chrome_json(trace_path))
-    throw std::runtime_error("cannot write trace " + trace_path);
+  bench::write_text_file(out_dir + "/aggregate.json",
+                         exp::aggregate_json(outcome.aggregate) + "\n");
+  bench::write_text_file(out_dir + "/metrics.json",
+                         plane.metrics.json() + "\n");
+  if (!opts.trace.empty())
+    bench::write_text_file(opts.trace, plane.tracer.chrome_json());
 
   std::printf("artifacts: %s/{results.jsonl, aggregate.json, "
               "metrics.json}\n",
@@ -199,15 +154,26 @@ int main(int argc, char** argv) {
   try {
     if (command == "help" || command == "--help" || command == "-h")
       return usage(stdout);
-    if (command == "domains") return cmd_domains();
-    if (command == "example")
+    if (command == "domains") {
+      bench::parse_flags(argc, argv, 0, 2);  // takes no flags
+      return cmd_domains();
+    }
+    if (command == "example") {
+      bench::parse_flags(argc, argv, 0, 3);  // takes at most a domain
       return cmd_example(args.size() > 1 ? args[1] : "serverless");
+    }
     if (command == "run") {
       if (args.size() < 2 || args[1].rfind("--", 0) == 0) {
         std::fprintf(stderr, "atlarge_campaign run: missing spec file\n");
         return 2;
       }
-      return cmd_run(args[1], {args.begin() + 2, args.end()});
+      const auto opts = bench::parse_flags(
+          argc, argv,
+          bench::kThreads | bench::kOut | bench::kMaxTrials | bench::kTrace,
+          3);
+      if (opts.max_trials == 0u)
+        bench::usage_error(argv[0], "--max-trials must be >= 1");
+      return cmd_run(args[1], opts);
     }
     std::fprintf(stderr, "atlarge_campaign: unknown command '%s'\n",
                  command.c_str());

@@ -1,7 +1,9 @@
 #pragma once
-// Shared formatting helpers for the experiment harnesses. Each bench
-// binary regenerates one table or figure of the paper as aligned text,
-// so EXPERIMENTS.md can quote the output directly.
+// Shared front end of the experiment harnesses. Each bench binary
+// regenerates one table or figure of the paper as aligned text, so
+// EXPERIMENTS.md can quote the output directly. Its main() first reads
+// argv into one HarnessOptions through parse_flags(), against the flags
+// that harness honours (README.md, "Harness flags").
 
 #include <cctype>
 #include <cerrno>
@@ -10,7 +12,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+
+#include "atlarge/sim/thread_pool.hpp"
 
 namespace atlarge::bench {
 
@@ -25,8 +30,8 @@ inline void note(const std::string& text) {
 }
 
 /// Writes `text` to `path`, exiting with a message on I/O failure. Used by
-/// the `--metrics-out` exporters (the TimeSeries/FlightRecorder classes
-/// have their own write_* helpers).
+/// the `--metrics-out`, `--trace`, `--timeseries-out` and `--flight-out`
+/// exporters.
 inline void write_text_file(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr || std::fwrite(text.data(), 1, text.size(), f) !=
@@ -37,59 +42,160 @@ inline void write_text_file(const std::string& path, const std::string& text) {
   }
 }
 
-/// Raw value of a `--name=<v>` / `--name <v>` flag, or "" when absent.
-inline std::string flag_value(int argc, char** argv, const char* name) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      return argv[i] + len + 1;
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc)
-      return argv[i + 1];
-  }
-  return "";
-}
+/// Every flag a harness can take. An empty string or an unset number
+/// means the flag was absent, and the harness applies its own default.
+struct HarnessOptions {
+  std::string workload;        // --workload=<scenario|file.atl>
+  std::string workload_out;    // --workload-out=<file.atl>
+  std::string metrics_out;     // --metrics-out=<file.json>
+  std::string trace;           // --trace=<file.json>
+  std::string timeseries_out;  // --timeseries-out=<file.json|file.csv>
+  std::string flight_out;      // --flight-out=<file.json>
+  std::string sharded_replay;  // --sharded-replay=<scenario>
+  std::string out;             // --out=<dir>
+  std::optional<std::uint64_t> max_events;
+  std::optional<std::uint64_t> seed;
+  std::optional<std::uint64_t> shards;
+  std::optional<std::uint64_t> threads;  // at most ThreadPool::kMaxThreads
+  std::optional<std::uint64_t> fault_seed;
+  std::optional<std::uint64_t> max_trials;
+  std::optional<double> faults;
+  bool sharded = false;  // --sharded, a switch
 
-/// Exits with status 2 and one stderr line naming the flag and the value
-/// it was given.
-[[noreturn]] inline void bad_flag(const char* name, const std::string& v) {
-  std::fprintf(stderr, "invalid value for %s: '%s'\n", name, v.c_str());
+  /// True when an instrumented run has a file to export (export_plane()).
+  bool wants_export() const {
+    return !trace.empty() || !metrics_out.empty() ||
+           !timeseries_out.empty() || !flight_out.empty();
+  }
+};
+
+/// One bit per flag; a harness passes parse_flags() the flags it honours.
+enum Flag : std::uint32_t {
+  kWorkload = 1u << 0,
+  kWorkloadOut = 1u << 1,
+  kMetricsOut = 1u << 2,
+  kTrace = 1u << 3,
+  kTimeseriesOut = 1u << 4,
+  kFlightOut = 1u << 5,
+  kShardedReplay = 1u << 6,
+  kOut = 1u << 7,
+  kMaxEvents = 1u << 8,
+  kSeed = 1u << 9,
+  kShards = 1u << 10,
+  kThreads = 1u << 11,
+  kFaultSeed = 1u << 12,
+  kMaxTrials = 1u << 13,
+  kFaults = 1u << 14,
+  kSharded = 1u << 15,
+};
+
+/// The flags of the shared replay driver, workload_mode().
+constexpr std::uint32_t kReplayFlags =
+    kWorkload | kWorkloadOut | kMaxEvents | kSeed | kMetricsOut;
+
+/// Exits with status 2 after one stderr line, "<program>: <message>".
+[[noreturn]] inline void usage_error(const char* program,
+                                     const std::string& message) {
+  const char* slash = std::strrchr(program, '/');
+  std::fprintf(stderr, "%s: %s\n", slash ? slash + 1 : program,
+               message.c_str());
   std::exit(2);
 }
 
-/// `v` as an unsigned decimal, or bad_flag() unless it starts with a digit
-/// (strtoull would read "-1" as 2^64 - 1), is consumed whole and fits in
-/// 64 bits.
-inline std::uint64_t parse_u64(const char* name, const std::string& v) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
-      errno == ERANGE)
-    bad_flag(name, v);
-  return x;
-}
-
-/// Double-valued flag (`--faults=20`), or `fallback` when absent; exits
-/// through bad_flag() unless the value is consumed whole and finite.
-inline double double_flag(int argc, char** argv, const char* name,
-                          double fallback) {
-  const std::string v = flag_value(argc, argv, name);
-  if (v.empty()) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double x = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(x))
-    bad_flag(name, v);
-  return x;
-}
-
-/// Unsigned flag (`--fault-seed=7`), or `fallback` when absent; exits
-/// through bad_flag() on a value parse_u64() rejects.
-inline std::uint64_t u64_flag(int argc, char** argv, const char* name,
-                              std::uint64_t fallback) {
-  const std::string v = flag_value(argc, argv, name);
-  return v.empty() ? fallback : parse_u64(name, v);
+/// Reads argv[first..argc) as `--name=<v>`, `--name <v>` or a bare switch.
+/// Ends the harness through usage_error() on an argument that is not a
+/// flag in `honoured`, a value given to a switch, a missing or empty
+/// value (a value may not start with "--"), a malformed number, or a
+/// --threads above sim::ThreadPool::kMaxThreads.
+inline HarnessOptions parse_flags(int argc, char** argv,
+                                  std::uint32_t honoured, int first = 1) {
+  using H = HarnessOptions;
+  // One row per flag. Exactly one target is set, and its type decides how
+  // the value parses; a switch takes no value.
+  struct FlagSpec {
+    Flag bit;
+    const char* name;
+    std::string H::*text = nullptr;
+    std::optional<std::uint64_t> H::*count = nullptr;
+    std::optional<double> H::*real = nullptr;
+    bool H::*on = nullptr;
+  };
+  static constexpr FlagSpec kTable[] = {
+      {.bit = kWorkload, .name = "--workload", .text = &H::workload},
+      {.bit = kWorkloadOut, .name = "--workload-out",
+       .text = &H::workload_out},
+      {.bit = kMetricsOut, .name = "--metrics-out", .text = &H::metrics_out},
+      {.bit = kTrace, .name = "--trace", .text = &H::trace},
+      {.bit = kTimeseriesOut, .name = "--timeseries-out",
+       .text = &H::timeseries_out},
+      {.bit = kFlightOut, .name = "--flight-out", .text = &H::flight_out},
+      {.bit = kShardedReplay, .name = "--sharded-replay",
+       .text = &H::sharded_replay},
+      {.bit = kOut, .name = "--out", .text = &H::out},
+      {.bit = kMaxEvents, .name = "--max-events", .count = &H::max_events},
+      {.bit = kSeed, .name = "--seed", .count = &H::seed},
+      {.bit = kShards, .name = "--shards", .count = &H::shards},
+      {.bit = kThreads, .name = "--threads", .count = &H::threads},
+      {.bit = kFaultSeed, .name = "--fault-seed", .count = &H::fault_seed},
+      {.bit = kMaxTrials, .name = "--max-trials", .count = &H::max_trials},
+      {.bit = kFaults, .name = "--faults", .real = &H::faults},
+      {.bit = kSharded, .name = "--sharded", .on = &H::sharded},
+  };
+  HarnessOptions opts;
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const FlagSpec* flag = nullptr;
+    for (const FlagSpec& f : kTable)
+      if ((honoured & f.bit) != 0 && arg.compare(0, eq, f.name) == 0)
+        flag = &f;
+    if (flag == nullptr) {
+      std::string known;
+      for (const FlagSpec& f : kTable)
+        if ((honoured & f.bit) != 0) known += std::string(" ") + f.name;
+      usage_error(argv[0], "unknown argument '" + arg + "'; flags:" +
+                               (known.empty() ? " none" : known));
+    }
+    if (flag->on != nullptr) {
+      if (eq != std::string::npos)
+        usage_error(argv[0], std::string(flag->name) + " takes no value");
+      opts.*flag->on = true;
+      continue;
+    }
+    std::string value;
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    }
+    if (value.empty() || value.compare(0, 2, "--") == 0)
+      usage_error(argv[0], std::string("missing value for ") + flag->name);
+    if (flag->text != nullptr) {
+      opts.*flag->text = value;
+      continue;
+    }
+    // A count must start with a digit: strtoull reads "-1" as 2^64 - 1.
+    char* end = nullptr;
+    errno = 0;
+    if (flag->real != nullptr) {
+      const double x = std::strtod(value.c_str(), &end);
+      if (*end == '\0' && errno != ERANGE && std::isfinite(x)) {
+        opts.*flag->real = x;
+        continue;
+      }
+    } else {
+      const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
+      if (std::isdigit(static_cast<unsigned char>(value[0])) && *end == '\0' &&
+          errno != ERANGE &&
+          (flag->bit != kThreads || n <= sim::ThreadPool::kMaxThreads)) {
+        opts.*flag->count = n;
+        continue;
+      }
+    }
+    usage_error(argv[0], std::string("invalid value for ") + flag->name +
+                             ": '" + value + "'");
+  }
+  return opts;
 }
 
 }  // namespace atlarge::bench

@@ -8,9 +8,8 @@
 #
 # The artifacts are the eleven deterministic harnesses (fig1/2/3/7/9,
 # sec67, table5/6/7/9, table_eco), table7_serverless --faults=20,
-# sec67_autoscaling --faults=10, the six examples/, and
-# table8_graphalytics with its google-benchmark section switched off
-# (--benchmark_filter=NONE). Goldens live in bench/goldens/paper/, except
+# sec67_autoscaling --faults=10, table8_graphalytics and the six
+# examples/. Goldens live in bench/goldens/paper/, except
 # table9_portfolio's, which is bench/goldens/table9_portfolio.txt.
 #
 # One filter: table8 prints one host-time line, "measured native run:
@@ -52,8 +51,8 @@ done
   check "$paper/table7_serverless_faults20.txt"
 "$b/sec67_autoscaling" --faults=10 |
   check "$paper/sec67_autoscaling_faults10.txt"
-"$b/table8_graphalytics" --benchmark_filter=NONE 2> /dev/null |
-  sed '/^measured native run:/d' | check "$paper/table8_graphalytics.txt"
+"$b/table8_graphalytics" | sed '/^measured native run:/d' |
+  check "$paper/table8_graphalytics.txt"
 for x in datacenter_scheduling graphalytics_run mmog_operations p2p_swarm \
          quickstart serverless_pipeline; do
   "$build/examples/$x" | check "$paper/example_$x.txt"

@@ -3,14 +3,23 @@
 #
 #   bench/expect_status.sh <status> <command> [args...]
 #
-# The harness-flag ctests use it: a malformed numeric flag must end the
-# harness with a usage error (status 2), not run with a wrapped value or
-# abort through std::terminate.
+# The harness-flag ctests use it: a bad flag must end the harness with a
+# usage error (status 2), not run with a wrapped value, ignore the flag
+# or abort through std::terminate. A status-2 run must also print
+# nothing on stdout and exactly one line on stderr.
 want="$1"
 shift
-"$@" >/dev/null
+err="$(mktemp)"
+out="$("$@" 2>"$err")"
 got=$?
+lines=$(wc -l < "$err")
+rm -f "$err"
 if [ "$got" -ne "$want" ]; then
   echo "exit status $got, want $want: $*" >&2
+  exit 1
+fi
+if [ "$want" -eq 2 ] && { [ -n "$out" ] || [ "$lines" -ne 1 ]; }; then
+  echo "usage error printed $lines stderr line(s) and stdout" \
+       "'$out', want one stderr line: $*" >&2
   exit 1
 fi

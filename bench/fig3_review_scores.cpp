@@ -9,8 +9,9 @@
 #include "atlarge/stats/violin.hpp"
 #include "bench_util.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace atlarge;
+  bench::parse_flags(argc, argv, 0);  // takes no flags
   bench::header("Figure 3: review-score violins by article category");
 
   design::ReviewModelConfig config;

@@ -10,7 +10,8 @@
 
 using namespace atlarge;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_flags(argc, argv, 0);  // takes no flags
   bench::header("Figure 9: datacenter reference architecture");
 
   std::printf("\n(top) 2011-2016 big-data architecture, four conceptual "

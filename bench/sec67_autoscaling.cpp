@@ -39,7 +39,9 @@ workflow::Workload experiment_workload(std::size_t experiment) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (bench::workload_mode(argc, argv, "gaming-diurnal")) return 0;
+  const auto opts = bench::parse_flags(
+      argc, argv, bench::kReplayFlags | bench::kFaults | bench::kFaultSeed);
+  if (bench::workload_mode(opts, "gaming-diurnal")) return 0;
   bench::header("Section 6.7: autoscaler evaluation (N=5 experiments)");
 
   const std::size_t kExperiments = 5;
@@ -55,12 +57,12 @@ int main(int argc, char** argv) {
   // well each policy re-provisions around capacity loss. Without the flag
   // the plan pointer stays null and output is byte-identical to before.
   fault::FaultPlan plan;
-  const double fault_rate = bench::double_flag(argc, argv, "--faults", 0.0);
+  const double fault_rate = opts.faults.value_or(0.0);
   if (fault_rate > 0.0) {
     fault::FaultSpec fspec;
     fspec.rate = fault_rate;
     fspec.horizon = 4'000.0;
-    fspec.seed = bench::u64_flag(argc, argv, "--fault-seed", 1);
+    fspec.seed = opts.fault_seed.value_or(1);
     fspec.targets = static_cast<std::uint32_t>(config.max_machines);
     fspec.mean_duration = 180.0;
     fspec.kinds = {fault::FaultKind::kMachineCrash};

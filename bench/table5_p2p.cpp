@@ -234,7 +234,9 @@ void study_sharded_network(std::size_t shards, std::size_t threads) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (bench::workload_mode(argc, argv, "video-flashcrowd")) return 0;
+  const auto opts = bench::parse_flags(
+      argc, argv, bench::kReplayFlags | bench::kShards | bench::kThreads);
+  if (bench::workload_mode(opts, "video-flashcrowd")) return 0;
   bench::header("Table 5 / Section 6.1: P2P studies");
   study_asymmetry();
   study_flashcrowd();
@@ -242,7 +244,6 @@ int main(int argc, char** argv) {
   study_aliased_media();
   study_two_fast();
   study_vicissitude();
-  study_sharded_network(bench::u64_flag(argc, argv, "--shards", 1),
-                        bench::u64_flag(argc, argv, "--threads", 1));
+  study_sharded_network(opts.shards.value_or(1), opts.threads.value_or(1));
   return 0;
 }

@@ -49,8 +49,8 @@ void print_zone_summary(const mmog::ZoneSimResult& result) {
 /// ecosystem. The summary on stdout is byte-identical across
 /// --shards/--threads layouts — the shard-smoke CI job diffs an
 /// 8-shard run against the unsharded golden run.
-bool sharded_replay_mode(int argc, char** argv) {
-  const std::string name = bench::flag_value(argc, argv, "--sharded-replay");
+bool sharded_replay_mode(const bench::HarnessOptions& opts) {
+  const std::string& name = opts.sharded_replay;
   if (name.empty()) return false;
   const trace::catalog::Scenario* scenario =
       trace::catalog::find(name.c_str());
@@ -63,13 +63,12 @@ bool sharded_replay_mode(int argc, char** argv) {
   config.zones = 16;
   config.horizon = 4'000.0;
   config.seed = 9;
-  config.shard.shards = bench::u64_flag(argc, argv, "--shards", 1);
-  config.shard.threads = bench::u64_flag(argc, argv, "--threads", 1);
+  config.shard.shards = opts.shards.value_or(1);
+  config.shard.threads = opts.threads.value_or(1);
 
   const auto events = trace::catalog::events(
-      *scenario, bench::u64_flag(argc, argv, "--seed", 9),
-      static_cast<std::size_t>(
-          bench::u64_flag(argc, argv, "--max-events", 8'000)));
+      *scenario, opts.seed.value_or(9),
+      static_cast<std::size_t>(opts.max_events.value_or(8'000)));
   std::vector<mmog::ZoneArrival> arrivals;
   for (const auto& e : events) {
     if (e.kind != static_cast<std::int64_t>(trace::EventKind::kSessionStart))
@@ -227,13 +226,16 @@ void study_analytics() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (sharded_replay_mode(argc, argv)) return 0;
+  const auto opts = bench::parse_flags(
+      argc, argv,
+      bench::kShardedReplay | bench::kShards | bench::kThreads |
+          bench::kSeed | bench::kMaxEvents);
+  if (sharded_replay_mode(opts)) return 0;
   bench::header("Table 6 / Section 6.2: MMOG studies");
   study_dynamics();
   study_provisioning();
   study_scalability();
   study_analytics();
-  study_sharded_world(bench::u64_flag(argc, argv, "--shards", 1),
-                      bench::u64_flag(argc, argv, "--threads", 1));
+  study_sharded_world(opts.shards.value_or(1), opts.threads.value_or(1));
   return 0;
 }

@@ -5,7 +5,6 @@
 //  ablation: pre-warmed pool size vs cold-start rate vs billed cost.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "atlarge/fault/fault.hpp"
 #include "atlarge/obs/observability.hpp"
@@ -159,15 +158,10 @@ void study_faults(double rate, std::uint64_t seed) {
 }
 
 /// Re-runs one representative FaaS experiment with the observability plane
-/// attached and exports whatever was asked for: the span timeline as a
-/// Chrome trace (--trace), the final registry state as JSON
-/// (--metrics-out), the continuous sim-time series sampled every 60 s
-/// (--timeseries-out, JSON or CSV by extension), and the causal
-/// flight-recorder snapshot (--flight-out, Chrome trace format).
-void instrumented_run(const std::string& trace_path,
-                      const std::string& metrics_path,
-                      const std::string& series_path,
-                      const std::string& flight_path) {
+/// attached and exports whatever was asked for (bench::export_plane): the
+/// continuous sim-time series is sampled every 60 s, and the flight
+/// recorder keeps the causal snapshot.
+void instrumented_run(const bench::HarnessOptions& opts) {
   bench::header("Instrumented run "
                 "(--trace/--metrics-out/--timeseries-out/--flight-out)");
   const auto registry = serverless::uniform_registry(4, 0.2, 1.5);
@@ -194,54 +188,24 @@ void instrumented_run(const std::string& trace_path,
   std::printf("%zu invocations, %.1f%% cold\n", r.invocations.size(),
               100.0 * r.cold_fraction);
 
-  if (!trace_path.empty()) {
-    if (!plane.tracer.write_chrome_json(trace_path)) {
-      std::fprintf(stderr, "failed to write %s\n", trace_path.c_str());
-      std::exit(1);
-    }
-    bench::note("trace: " + std::to_string(plane.tracer.size()) +
-                " records -> " + trace_path);
-  }
-  if (!metrics_path.empty()) {
-    bench::write_text_file(metrics_path, plane.metrics.json());
-    bench::note("metrics -> " + metrics_path);
-  }
-  if (!series_path.empty()) {
-    if (series_path.size() > 4 &&
-        series_path.compare(series_path.size() - 4, 4, ".csv") == 0) {
-      series.write_csv(series_path);
-    } else {
-      series.write_json(series_path);
-    }
-    bench::note("timeseries: " + std::to_string(series.size()) + " rows -> " +
-                series_path);
-  }
-  if (!flight_path.empty()) {
-    flight.write_chrome_json(flight_path);
-    bench::note("flight: " + std::to_string(flight.recorded()) +
-                " records over " + std::to_string(flight.entities()) +
-                " entities -> " + flight_path);
-  }
+  bench::export_plane(opts, plane, &series, &flight);
   bench::note("metrics: " + plane.metrics.json());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (bench::workload_mode(argc, argv, "feed-fanout")) return 0;
+  const auto opts = bench::parse_flags(
+      argc, argv,
+      bench::kReplayFlags | bench::kFaults | bench::kFaultSeed |
+          bench::kTrace | bench::kTimeseriesOut | bench::kFlightOut);
+  if (bench::workload_mode(opts, "feed-fanout")) return 0;
   bench::header("Table 7 / Section 6.4: serverless studies");
   study_economics();
   study_cold_starts();
   study_orchestration();
-  const double fault_rate = bench::double_flag(argc, argv, "--faults", 0.0);
-  if (fault_rate > 0.0)
-    study_faults(fault_rate, bench::u64_flag(argc, argv, "--fault-seed", 1));
-  const std::string trace = bench::flag_value(argc, argv, "--trace");
-  const std::string metrics = bench::flag_value(argc, argv, "--metrics-out");
-  const std::string series = bench::flag_value(argc, argv, "--timeseries-out");
-  const std::string flight = bench::flag_value(argc, argv, "--flight-out");
-  if (!trace.empty() || !metrics.empty() || !series.empty() ||
-      !flight.empty())
-    instrumented_run(trace, metrics, series, flight);
+  const double fault_rate = opts.faults.value_or(0.0);
+  if (fault_rate > 0.0) study_faults(fault_rate, opts.fault_seed.value_or(1));
+  if (opts.wants_export()) instrumented_run(opts);
   return 0;
 }

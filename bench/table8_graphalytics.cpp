@@ -2,22 +2,17 @@
 //  [105] the PAD law: performance depends on the Platform x Algorithm x
 //        Dataset interaction — no platform dominates;
 //  [106] HPAD: heterogeneous hardware (GPU) joins the interaction;
-//  [100] Granula: fine-grained phase breakdowns;
-// plus google-benchmark timings of the native algorithm implementations
-// (the "Native-1N" platform measured for real).
+//  [100] Granula: fine-grained phase breakdowns.
+// graph_bench times the native kernels themselves (BENCH_graph.json).
 
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <vector>
-
-#include <benchmark/benchmark.h>
 
 #include "atlarge/graph/algorithms.hpp"
 #include "atlarge/graph/granula.hpp"
 #include "atlarge/graph/graph.hpp"
 #include "atlarge/graph/pad.hpp"
-#include "atlarge/sim/thread_pool.hpp"
 #include "bench_util.hpp"
 
 using namespace atlarge;
@@ -94,66 +89,14 @@ void granula_study(std::uint32_t threads) {
               measured.phases[0].seconds, measured.phases[1].seconds);
 }
 
-// Google-benchmark microbenchmarks of the native implementations.
-const graph::Graph& bench_graph() {
-  static const graph::Graph g = [] {
-    stats::Rng rng(3);
-    return graph::preferential_attachment(10'000, 8, rng);
-  }();
-  return g;
-}
-
-void BM_Bfs(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(graph::bfs(bench_graph(), 0));
-}
-BENCHMARK(BM_Bfs);
-
-void BM_PageRank(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(graph::pagerank(bench_graph(), 10));
-}
-BENCHMARK(BM_PageRank);
-
-void BM_Wcc(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(graph::wcc(bench_graph()));
-}
-BENCHMARK(BM_Wcc);
-
-void BM_Cdlp(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(graph::cdlp(bench_graph(), 5));
-}
-BENCHMARK(BM_Cdlp);
-
-void BM_Sssp(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(graph::sssp(bench_graph(), 0));
-}
-BENCHMARK(BM_Sssp);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   // --threads=N parallelizes the kernel runs behind the studies (results
-  // are thread-count independent; 0 runs one lane). Checked before any
-  // study runs and stripped before google-benchmark sees the arguments.
-  std::uint64_t threads = 1;
-  std::vector<char*> args;
-  args.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = bench::parse_u64("--threads", argv[i] + 10);
-      if (threads > sim::ThreadPool::kMaxThreads)
-        bench::bad_flag("--threads", argv[i] + 10);
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  int filtered_argc = static_cast<int>(args.size());
-  pad_study(static_cast<std::uint32_t>(threads));
-  granula_study(static_cast<std::uint32_t>(threads));
-  bench::header("Native-1N measured kernels (google-benchmark)");
-  benchmark::Initialize(&filtered_argc, args.data());
-  benchmark::RunSpecifiedBenchmarks();
+  // are thread-count independent; 0 runs one lane).
+  const auto opts = bench::parse_flags(argc, argv, bench::kThreads);
+  const auto threads = static_cast<std::uint32_t>(opts.threads.value_or(1));
+  pad_study(threads);
+  granula_study(threads);
   return 0;
 }

@@ -6,7 +6,6 @@
 // active set fixes it, [120] noisy utilities cause mis-selection.
 
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <map>
 
@@ -142,13 +141,9 @@ void misselection() {
 }
 
 /// Re-runs one representative portfolio experiment with the observability
-/// plane attached and exports whatever was asked for: the span timeline as
-/// a Chrome trace (--trace, load in Perfetto / about://tracing), the final
-/// registry state as JSON (--metrics-out), and the continuous sim-time
-/// series sampled every 10 s (--timeseries-out, JSON or CSV by extension).
-void instrumented_run(const std::string& trace_path,
-                      const std::string& metrics_path,
-                      const std::string& series_path) {
+/// plane attached and exports whatever was asked for (bench::export_plane);
+/// the continuous sim-time series is sampled every 10 s.
+void instrumented_run(const bench::HarnessOptions& opts) {
   bench::header("Instrumented run (--trace/--metrics-out/--timeseries-out)");
   const auto env = cluster::make_homogeneous_cluster("CL", 4, 8);
   const auto wl = make_workload(workflow::WorkloadClass::kScientific, 42);
@@ -171,42 +166,19 @@ void instrumented_run(const std::string& trace_path,
   std::printf("slowdown %.2f over %zu jobs\n", r.mean_slowdown,
               r.jobs.size());
 
-  if (!trace_path.empty()) {
-    if (!plane.tracer.write_chrome_json(trace_path)) {
-      std::fprintf(stderr, "failed to write %s\n", trace_path.c_str());
-      std::exit(1);
-    }
-    bench::note("trace: " + std::to_string(plane.tracer.size()) +
-                " records -> " + trace_path);
-  }
-  if (!metrics_path.empty()) {
-    bench::write_text_file(metrics_path, plane.metrics.json());
-    bench::note("metrics -> " + metrics_path);
-  }
-  if (!series_path.empty()) {
-    if (series_path.size() > 4 &&
-        series_path.compare(series_path.size() - 4, 4, ".csv") == 0) {
-      series.write_csv(series_path);
-    } else {
-      series.write_json(series_path);
-    }
-    bench::note("timeseries: " + std::to_string(series.size()) + " rows -> " +
-                series_path);
-  }
+  bench::export_plane(opts, plane, &series);
   bench::note("metrics: " + plane.metrics.json());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (bench::workload_mode(argc, argv, "ecommerce-spike")) return 0;
+  const auto opts = bench::parse_flags(
+      argc, argv, bench::kReplayFlags | bench::kTrace | bench::kTimeseriesOut);
+  if (bench::workload_mode(opts, "ecommerce-spike")) return 0;
   table9();
   online_cost_arc();
   misselection();
-  const std::string trace = bench::flag_value(argc, argv, "--trace");
-  const std::string metrics = bench::flag_value(argc, argv, "--metrics-out");
-  const std::string series = bench::flag_value(argc, argv, "--timeseries-out");
-  if (!trace.empty() || !metrics.empty() || !series.empty())
-    instrumented_run(trace, metrics, series);
+  if (opts.wants_export()) instrumented_run(opts);
   return 0;
 }

@@ -105,10 +105,10 @@ void print_summary(const eco::EcosystemResult& result) {
 
 /// `--sharded`: the determinism contract as a CLI artifact. stdout is
 /// byte-identical on every --shards/--threads layout; CI diffs them.
-void sharded_mode(int argc, char** argv) {
+void sharded_mode(const bench::HarnessOptions& opts) {
   eco::EcosystemSpec spec = bound_spec();
-  spec.shards = bench::u64_flag(argc, argv, "--shards", 1);
-  spec.threads = bench::u64_flag(argc, argv, "--threads", 1);
+  spec.shards = opts.shards.value_or(1);
+  spec.threads = opts.threads.value_or(1);
   print_summary(eco::run_ecosystem(spec));
   std::fprintf(stderr, "shards=%llu threads=%llu\n",
                static_cast<unsigned long long>(spec.shards),
@@ -159,8 +159,7 @@ void study_composition() {
 /// Re-runs the composed ecosystem with the observability plane attached
 /// and exports the span timeline (--trace) / metrics registry
 /// (--metrics-out) — the eco.* counters mirror the fabric ledger.
-void instrumented_run(const std::string& trace_path,
-                      const std::string& metrics_path) {
+void instrumented_run(const bench::HarnessOptions& opts) {
   bench::header("Instrumented run (--trace/--metrics-out)");
   obs::Observability plane;
   eco::EcosystemSpec spec = bound_spec();
@@ -170,37 +169,22 @@ void instrumented_run(const std::string& trace_path,
               result.faas.p95_latency,
               static_cast<unsigned long long>(result.fabric.machine_leases),
               static_cast<unsigned long long>(result.fabric.capacity_updates));
-  if (!trace_path.empty()) {
-    if (!plane.tracer.write_chrome_json(trace_path)) {
-      std::fprintf(stderr, "failed to write %s\n", trace_path.c_str());
-      std::exit(1);
-    }
-    bench::note("trace: " + std::to_string(plane.tracer.size()) +
-                " records -> " + trace_path);
-  }
-  if (!metrics_path.empty()) {
-    bench::write_text_file(metrics_path, plane.metrics.json());
-    bench::note("metrics -> " + metrics_path);
-  }
-}
-
-bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == name) return true;
-  return false;
+  bench::export_plane(opts, plane);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (bench::workload_mode(argc, argv, "eco-faas-vs-reserved")) return 0;
-  if (has_flag(argc, argv, "--sharded")) {
-    sharded_mode(argc, argv);
+  const auto opts = bench::parse_flags(
+      argc, argv,
+      bench::kReplayFlags | bench::kSharded | bench::kShards |
+          bench::kThreads | bench::kTrace);
+  if (bench::workload_mode(opts, "eco-faas-vs-reserved")) return 0;
+  if (opts.sharded) {
+    sharded_mode(opts);
     return 0;
   }
   study_composition();
-  const std::string trace = bench::flag_value(argc, argv, "--trace");
-  const std::string metrics = bench::flag_value(argc, argv, "--metrics-out");
-  if (!trace.empty() || !metrics.empty()) instrumented_run(trace, metrics);
+  if (opts.wants_export()) instrumented_run(opts);
   return 0;
 }

@@ -1,22 +1,15 @@
 #pragma once
-// Shared `--workload` replay driver for the table/section harnesses.
+// The two output paths the harnesses share: the `--workload` replay
+// driver and the export of an instrumented run's telemetry plane.
 //
-// Every simulation harness (table5/table7/table9/sec67) doubles as a
-// trace-replay driver: pass `--workload=<scenario>` to run a named
+// Every simulation harness (table5/table7/table9/sec67/table_eco) doubles
+// as a trace-replay driver: pass `--workload=<scenario>` to run a named
 // trace::catalog scenario through its engine, or `--workload=<file.atl>`
 // to stream a binary trace from disk. The driver prints the deterministic
 // ReplaySummary (one key=value per line) and exits, skipping the paper
-// tables entirely.
-//
-// Flags:
-//   --workload=<scenario|file.atl>   required to enter replay mode
-//   --max-events=N                   cap events pulled from the stream
-//   --seed=N                         generator seed (default: scenario's)
-//   --workload-out=<file.atl>        write the generated trace, then
-//                                    replay it back FROM THE FILE (the
-//                                    write->read round trip CI smokes)
-//   --metrics-out=<file.json>        obs::Registry JSON (replay counters
-//                                    plus trace-reader residency gauges)
+// tables entirely. Its flags are bench::kReplayFlags (README.md's harness
+// flag table); --workload-out writes the generated trace and replays it
+// back from the file, the write->read round trip CI smokes.
 //
 // A .atl file carries events but not an engine binding, so file replays
 // use the harness's default scenario for engine and config; named
@@ -26,7 +19,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "atlarge/obs/metrics.hpp"
+#include "atlarge/obs/observability.hpp"
 #include "atlarge/trace/catalog.hpp"
 #include "bench_util.hpp"
 
@@ -35,9 +28,9 @@ namespace atlarge::bench {
 /// Runs replay mode if `--workload` was passed. Returns true when it ran
 /// (the caller should exit 0) and false when the harness should print its
 /// normal tables.
-inline bool workload_mode(int argc, char** argv,
+inline bool workload_mode(const HarnessOptions& opts,
                           const char* default_scenario) {
-  const std::string workload = flag_value(argc, argv, "--workload");
+  const std::string& workload = opts.workload;
   if (workload.empty()) return false;
 
   const bool is_file = workload.size() > 4 &&
@@ -55,14 +48,12 @@ inline bool workload_mode(int argc, char** argv,
 
   obs::Registry registry;
   trace::catalog::ReplayOptions options;
-  options.max_events = static_cast<std::size_t>(
-      u64_flag(argc, argv, "--max-events", 0));
+  options.max_events = static_cast<std::size_t>(opts.max_events.value_or(0));
   options.obs = &registry;
-  const std::uint64_t seed =
-      u64_flag(argc, argv, "--seed", scenario->default_seed);
+  const std::uint64_t seed = opts.seed.value_or(scenario->default_seed);
 
   trace::catalog::ReplaySummary summary;
-  const std::string out = flag_value(argc, argv, "--workload-out");
+  const std::string& out = opts.workload_out;
   if (is_file) {
     summary = trace::catalog::replay_file(*scenario, workload, options);
   } else if (!out.empty()) {
@@ -77,9 +68,44 @@ inline bool workload_mode(int argc, char** argv,
 
   std::fputs(summary.text().c_str(), stdout);
 
-  const std::string metrics = flag_value(argc, argv, "--metrics-out");
-  if (!metrics.empty()) write_text_file(metrics, registry.json());
+  if (!opts.metrics_out.empty())
+    write_text_file(opts.metrics_out, registry.json());
   return true;
+}
+
+/// Writes what `opts` asks of an instrumented run, one note per file: the
+/// span timeline as a Chrome trace (--trace, load in Perfetto or
+/// about://tracing), the registry as JSON (--metrics-out), `series` as CSV
+/// for a .csv path and JSON otherwise (--timeseries-out), and `flight`'s
+/// causal snapshot as a Chrome trace (--flight-out). A harness that
+/// honours --timeseries-out or --flight-out passes the series or recorder.
+inline void export_plane(const HarnessOptions& opts,
+                         const obs::Observability& plane,
+                         const obs::TimeSeries* series = nullptr,
+                         const obs::FlightRecorder* flight = nullptr) {
+  if (!opts.trace.empty()) {
+    write_text_file(opts.trace, plane.tracer.chrome_json());
+    note("trace: " + std::to_string(plane.tracer.size()) + " records -> " +
+         opts.trace);
+  }
+  if (!opts.metrics_out.empty()) {
+    write_text_file(opts.metrics_out, plane.metrics.json());
+    note("metrics -> " + opts.metrics_out);
+  }
+  const std::string& path = opts.timeseries_out;
+  if (!path.empty()) {
+    const bool csv =
+        path.size() > 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
+    write_text_file(path, csv ? series->csv() : series->json());
+    note("timeseries: " + std::to_string(series->size()) + " rows -> " +
+         path);
+  }
+  if (!opts.flight_out.empty()) {
+    write_text_file(opts.flight_out, flight->chrome_json());
+    note("flight: " + std::to_string(flight->recorded()) + " records over " +
+         std::to_string(flight->entities()) + " entities -> " +
+         opts.flight_out);
+  }
 }
 
 }  // namespace atlarge::bench
