@@ -62,10 +62,6 @@ class TimeSeries final : public sim::SamplingHook {
   std::string csv() const;
   /// {"interval":...,"dropped":...,"columns":["time",...],"rows":[[...]]}
   std::string json() const;
-  /// Write json() to `path`; throws std::runtime_error on I/O failure.
-  void write_json(const std::string& path) const;
-  /// Write csv() to `path`; throws std::runtime_error on I/O failure.
-  void write_csv(const std::string& path) const;
 
  private:
   struct Column {

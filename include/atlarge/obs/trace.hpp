@@ -82,9 +82,6 @@ class Tracer {
   /// Chrome trace_event JSON (see file comment).
   std::string chrome_json() const;
 
-  /// Writes chrome_json() to `path`; false on I/O failure.
-  bool write_chrome_json(const std::string& path) const;
-
  private:
   void record(const char* name, const char* category, double sim_time,
               SpanKind kind);

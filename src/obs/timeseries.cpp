@@ -1,7 +1,6 @@
 #include "atlarge/obs/timeseries.hpp"
 
 #include <cstdio>
-#include <stdexcept>
 
 #include "atlarge/obs/json.hpp"
 
@@ -12,20 +11,6 @@ void append_exact(std::string& out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;
-}
-
-void write_file(const std::string& path, const std::string& content,
-                const char* what) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr)
-    throw std::runtime_error(std::string(what) + ": cannot open '" + path +
-                             "'");
-  const std::size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  const bool ok = n == content.size() && std::fflush(f) == 0;
-  std::fclose(f);
-  if (!ok)
-    throw std::runtime_error(std::string(what) + ": cannot write '" + path +
-                             "'");
 }
 
 }  // namespace
@@ -124,14 +109,6 @@ std::string TimeSeries::json() const {
   w.end_array();
   w.end_object();
   return w.str();
-}
-
-void TimeSeries::write_json(const std::string& path) const {
-  write_file(path, json(), "TimeSeries::write_json");
-}
-
-void TimeSeries::write_csv(const std::string& path) const {
-  write_file(path, csv(), "TimeSeries::write_csv");
 }
 
 }  // namespace atlarge::obs

@@ -1,7 +1,5 @@
 #include "atlarge/obs/trace.hpp"
 
-#include <cstdio>
-
 #include "atlarge/obs/json.hpp"
 
 namespace atlarge::obs {
@@ -105,14 +103,6 @@ std::string Tracer::chrome_json() const {
       .end_object();
   w.end_object();
   return w.str();
-}
-
-bool Tracer::write_chrome_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = chrome_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace atlarge::obs
