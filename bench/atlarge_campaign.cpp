@@ -155,21 +155,20 @@ int main(int argc, char** argv) {
     if (command == "help" || command == "--help" || command == "-h")
       return usage(stdout);
     if (command == "domains") {
-      bench::parse_flags(argc, argv, 0, 2);  // takes no flags
+      bench::parse_flags(argc, argv, {}, 2);  // takes no flags
       return cmd_domains();
     }
     if (command == "example") {
-      bench::parse_flags(argc, argv, 0, 3);  // takes at most a domain
+      bench::parse_flags(argc, argv, {}, 3);  // takes at most a domain
       return cmd_example(args.size() > 1 ? args[1] : "serverless");
     }
     if (command == "run") {
-      if (args.size() < 2 || args[1].rfind("--", 0) == 0) {
-        std::fprintf(stderr, "atlarge_campaign run: missing spec file\n");
-        return 2;
-      }
+      if (args.size() < 2 || args[1].rfind("--", 0) == 0)
+        bench::usage_error(argv[0], "run: missing spec file");
       const auto opts = bench::parse_flags(
           argc, argv,
-          bench::kThreads | bench::kOut | bench::kMaxTrials | bench::kTrace,
+          {{0, bench::kThreads | bench::kOut | bench::kMaxTrials |
+                   bench::kTrace}},
           3);
       if (opts.max_trials == 0u)
         bench::usage_error(argv[0], "--max-trials must be >= 1");

@@ -2,16 +2,15 @@
 // Shared front end of the experiment harnesses. Each bench binary
 // regenerates one table or figure of the paper as aligned text, so
 // EXPERIMENTS.md can quote the output directly. Its main() first reads
-// argv into one HarnessOptions through parse_flags(), against the flags
-// that harness honours (README.md, "Harness flags").
+// argv with parse_flags() (README.md, "Harness flags").
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <optional>
 #include <string>
 
@@ -29,9 +28,7 @@ inline void note(const std::string& text) {
   std::printf("-- %s\n", text.c_str());
 }
 
-/// Writes `text` to `path`, exiting with a message on I/O failure. Used by
-/// the `--metrics-out`, `--trace`, `--timeseries-out` and `--flight-out`
-/// exporters.
+/// Writes `text` to `path`, exiting with a message on I/O failure.
 inline void write_text_file(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr || std::fwrite(text.data(), 1, text.size(), f) !=
@@ -69,7 +66,7 @@ struct HarnessOptions {
   }
 };
 
-/// One bit per flag; a harness passes parse_flags() the flags it honours.
+/// One bit per flag.
 enum Flag : std::uint32_t {
   kWorkload = 1u << 0,
   kWorkloadOut = 1u << 1,
@@ -89,9 +86,16 @@ enum Flag : std::uint32_t {
   kSharded = 1u << 15,
 };
 
-/// The flags of the shared replay driver, workload_mode().
-constexpr std::uint32_t kReplayFlags =
-    kWorkload | kWorkloadOut | kMaxEvents | kSeed | kMetricsOut;
+/// The flags a harness honours in one mode of its run. A run is in the
+/// mode whose trigger flag it passes, else in the plain run (trigger 0).
+struct Mode {
+  std::uint32_t trigger;  // the flag that selects the mode; 0: plain run
+  std::uint32_t flags;    // the other flags the mode honours
+};
+
+/// The mode of the shared replay driver, workload_mode().
+constexpr Mode kReplay{kWorkload,
+                       kWorkloadOut | kMaxEvents | kSeed | kMetricsOut};
 
 /// Exits with status 2 after one stderr line, "<program>: <message>".
 [[noreturn]] inline void usage_error(const char* program,
@@ -103,12 +107,14 @@ constexpr std::uint32_t kReplayFlags =
 }
 
 /// Reads argv[first..argc) as `--name=<v>`, `--name <v>` or a bare switch.
-/// Ends the harness through usage_error() on an argument that is not a
-/// flag in `honoured`, a value given to a switch, a missing or empty
-/// value (a value may not start with "--"), a malformed number, or a
-/// --threads above sim::ThreadPool::kMaxThreads.
+/// Ends the harness through usage_error() on an argument that is no flag
+/// of `modes`, a flag the run's mode does not honour, a value given to a
+/// switch, a missing or empty value (a value may not start with "--"), a
+/// number that is not plain decimal or out of range, or a --threads above
+/// sim::ThreadPool::kMaxThreads.
 inline HarnessOptions parse_flags(int argc, char** argv,
-                                  std::uint32_t honoured, int first = 1) {
+                                  std::initializer_list<Mode> modes,
+                                  int first = 1) {
   using H = HarnessOptions;
   // One row per flag. Exactly one target is set, and its type decides how
   // the value parses; a switch takes no value.
@@ -122,8 +128,7 @@ inline HarnessOptions parse_flags(int argc, char** argv,
   };
   static constexpr FlagSpec kTable[] = {
       {.bit = kWorkload, .name = "--workload", .text = &H::workload},
-      {.bit = kWorkloadOut, .name = "--workload-out",
-       .text = &H::workload_out},
+      {.bit = kWorkloadOut, .name = "--workload-out", .text = &H::workload_out},
       {.bit = kMetricsOut, .name = "--metrics-out", .text = &H::metrics_out},
       {.bit = kTrace, .name = "--trace", .text = &H::trace},
       {.bit = kTimeseriesOut, .name = "--timeseries-out",
@@ -141,7 +146,17 @@ inline HarnessOptions parse_flags(int argc, char** argv,
       {.bit = kFaults, .name = "--faults", .real = &H::faults},
       {.bit = kSharded, .name = "--sharded", .on = &H::sharded},
   };
+  // " --a --b" for the flags in `mask`.
+  auto names = [](std::uint32_t mask) {
+    std::string out;
+    for (const FlagSpec& f : kTable)
+      if ((mask & f.bit) != 0) out += std::string(" ") + f.name;
+    return out;
+  };
+  std::uint32_t honoured = 0;
+  for (const Mode& m : modes) honoured |= m.trigger | m.flags;
   HarnessOptions opts;
+  std::uint32_t given = 0;
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     const std::size_t eq = arg.find('=');
@@ -149,51 +164,54 @@ inline HarnessOptions parse_flags(int argc, char** argv,
     for (const FlagSpec& f : kTable)
       if ((honoured & f.bit) != 0 && arg.compare(0, eq, f.name) == 0)
         flag = &f;
-    if (flag == nullptr) {
-      std::string known;
-      for (const FlagSpec& f : kTable)
-        if ((honoured & f.bit) != 0) known += std::string(" ") + f.name;
+    if (flag == nullptr)
       usage_error(argv[0], "unknown argument '" + arg + "'; flags:" +
-                               (known.empty() ? " none" : known));
-    }
+                               (honoured != 0 ? names(honoured) : " none"));
+    given |= flag->bit;
     if (flag->on != nullptr) {
       if (eq != std::string::npos)
         usage_error(argv[0], std::string(flag->name) + " takes no value");
       opts.*flag->on = true;
       continue;
     }
-    std::string value;
-    if (eq != std::string::npos) {
-      value = arg.substr(eq + 1);
-    } else if (i + 1 < argc) {
-      value = argv[++i];
-    }
+    const std::string value = eq != std::string::npos ? arg.substr(eq + 1)
+                              : i + 1 < argc           ? argv[++i]
+                                                       : "";
     if (value.empty() || value.compare(0, 2, "--") == 0)
       usage_error(argv[0], std::string("missing value for ") + flag->name);
     if (flag->text != nullptr) {
       opts.*flag->text = value;
       continue;
     }
-    // A count must start with a digit: strtoull reads "-1" as 2^64 - 1.
+    // A number is plain decimal from its first character on: strtoull
+    // reads "-1" as 2^64 - 1, and strtod takes " 5", "+5", "0x10", "inf".
     char* end = nullptr;
     errno = 0;
-    if (flag->real != nullptr) {
-      const double x = std::strtod(value.c_str(), &end);
-      if (*end == '\0' && errno != ERANGE && std::isfinite(x)) {
-        opts.*flag->real = x;
-        continue;
-      }
-    } else {
-      const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-      if (std::isdigit(static_cast<unsigned char>(value[0])) && *end == '\0' &&
-          errno != ERANGE &&
-          (flag->bit != kThreads || n <= sim::ThreadPool::kMaxThreads)) {
-        opts.*flag->count = n;
-        continue;
-      }
-    }
-    usage_error(argv[0], std::string("invalid value for ") + flag->name +
-                             ": '" + value + "'");
+    if (flag->real != nullptr)
+      opts.*flag->real = std::strtod(value.c_str(), &end);
+    else
+      opts.*flag->count = std::strtoull(value.c_str(), &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+        value.find_first_not_of("0123456789.eE+-") != std::string::npos ||
+        *end != '\0' || errno == ERANGE ||
+        opts.threads > sim::ThreadPool::kMaxThreads)
+      usage_error(argv[0], std::string("invalid value for ") + flag->name +
+                               ": '" + value + "'");
+  }
+  // The run is in the mode whose trigger it passes, else in the plain run.
+  // Any other flag belongs to a mode the run is not in.
+  Mode mode{0, 0};
+  for (const Mode& m : modes)
+    if (mode.trigger == 0 && (m.trigger == 0 || (given & m.trigger) != 0))
+      mode = m;
+  for (const FlagSpec& f : kTable) {
+    if ((given & f.bit & ~(mode.trigger | mode.flags)) == 0) continue;
+    if (mode.trigger != 0)
+      usage_error(argv[0], f.name + (" does not apply with" +
+                                     names(mode.trigger)));
+    for (const Mode& m : modes)
+      if ((m.flags & f.bit) != 0)
+        usage_error(argv[0], f.name + (" needs" + names(m.trigger)));
   }
   return opts;
 }

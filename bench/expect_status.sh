@@ -1,12 +1,10 @@
 #!/bin/sh
-# Runs a command and passes only when it exits with the given status.
+# Runs a command and passes only when it exits with the given status. A
+# status-2 run, a usage error, must also print nothing on stdout and
+# exactly one line on stderr: the harness-flag ctests use it to check
+# that a bad flag ends the harness instead of being ignored or wrapped.
 #
 #   bench/expect_status.sh <status> <command> [args...]
-#
-# The harness-flag ctests use it: a bad flag must end the harness with a
-# usage error (status 2), not run with a wrapped value, ignore the flag
-# or abort through std::terminate. A status-2 run must also print
-# nothing on stdout and exactly one line on stderr.
 want="$1"
 shift
 err="$(mktemp)"
@@ -14,12 +12,8 @@ out="$("$@" 2>"$err")"
 got=$?
 lines=$(wc -l < "$err")
 rm -f "$err"
-if [ "$got" -ne "$want" ]; then
-  echo "exit status $got, want $want: $*" >&2
-  exit 1
-fi
-if [ "$want" -eq 2 ] && { [ -n "$out" ] || [ "$lines" -ne 1 ]; }; then
-  echo "usage error printed $lines stderr line(s) and stdout" \
-       "'$out', want one stderr line: $*" >&2
+if [ "$got" -ne "$want" ] ||
+   { [ "$want" -eq 2 ] && { [ -n "$out" ] || [ "$lines" -ne 1 ]; }; }; then
+  echo "exit $got, $lines stderr line(s), want $want: $*" >&2
   exit 1
 fi

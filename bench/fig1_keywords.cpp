@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace atlarge;
-  bench::parse_flags(argc, argv, 0);  // takes no flags
+  bench::parse_flags(argc, argv, {});  // takes no flags
   bench::header("Figure 1: keyword presence in top systems venues");
 
   const auto config = design::paper_corpus_config();

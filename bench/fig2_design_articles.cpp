@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace atlarge;
-  bench::parse_flags(argc, argv, 0);  // takes no flags
+  bench::parse_flags(argc, argv, {});  // takes no flags
   bench::header("Figure 2: design-article counts per 5-year block");
 
   const auto config = design::paper_corpus_config();

@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace atlarge;
-  bench::parse_flags(argc, argv, 0);  // takes no flags
+  bench::parse_flags(argc, argv, {});  // takes no flags
   bench::header("Figure 3: review-score violins by article category");
 
   design::ReviewModelConfig config;

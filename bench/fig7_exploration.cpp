@@ -76,7 +76,7 @@ void run_once(std::uint64_t seed, std::size_t budget, Cell cells[4]) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_flags(argc, argv, 0);  // takes no flags
+  bench::parse_flags(argc, argv, {});  // takes no flags
   bench::header("Figures 6-7: design-space exploration processes");
   std::printf("problem: 18 dims x 6 options (~10^14 designs), K=4 "
               "interactions, satisfice at 0.74; %zu trials per cell\n",

@@ -11,7 +11,7 @@
 using namespace atlarge;
 
 int main(int argc, char** argv) {
-  bench::parse_flags(argc, argv, 0);  // takes no flags
+  bench::parse_flags(argc, argv, {});  // takes no flags
   bench::header("Figure 9: datacenter reference architecture");
 
   std::printf("\n(top) 2011-2016 big-data architecture, four conceptual "

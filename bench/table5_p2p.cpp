@@ -235,7 +235,7 @@ void study_sharded_network(std::size_t shards, std::size_t threads) {
 
 int main(int argc, char** argv) {
   const auto opts = bench::parse_flags(
-      argc, argv, bench::kReplayFlags | bench::kShards | bench::kThreads);
+      argc, argv, {bench::kReplay, {0, bench::kShards | bench::kThreads}});
   if (bench::workload_mode(opts, "video-flashcrowd")) return 0;
   bench::header("Table 5 / Section 6.1: P2P studies");
   study_asymmetry();

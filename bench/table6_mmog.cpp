@@ -228,8 +228,9 @@ void study_analytics() {
 int main(int argc, char** argv) {
   const auto opts = bench::parse_flags(
       argc, argv,
-      bench::kShardedReplay | bench::kShards | bench::kThreads |
-          bench::kSeed | bench::kMaxEvents);
+      {{bench::kShardedReplay, bench::kShards | bench::kThreads |
+                                   bench::kSeed | bench::kMaxEvents},
+       {0, bench::kShards | bench::kThreads}});
   if (sharded_replay_mode(opts)) return 0;
   bench::header("Table 6 / Section 6.2: MMOG studies");
   study_dynamics();

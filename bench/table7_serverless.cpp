@@ -195,10 +195,12 @@ void instrumented_run(const bench::HarnessOptions& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr std::uint32_t kExport = bench::kTrace | bench::kMetricsOut |
+                                     bench::kTimeseriesOut | bench::kFlightOut;
   const auto opts = bench::parse_flags(
       argc, argv,
-      bench::kReplayFlags | bench::kFaults | bench::kFaultSeed |
-          bench::kTrace | bench::kTimeseriesOut | bench::kFlightOut);
+      {bench::kReplay, {bench::kFaults, bench::kFaultSeed | kExport},
+       {0, kExport}});
   if (bench::workload_mode(opts, "feed-fanout")) return 0;
   bench::header("Table 7 / Section 6.4: serverless studies");
   study_economics();

@@ -94,7 +94,7 @@ void granula_study(std::uint32_t threads) {
 int main(int argc, char** argv) {
   // --threads=N parallelizes the kernel runs behind the studies (results
   // are thread-count independent; 0 runs one lane).
-  const auto opts = bench::parse_flags(argc, argv, bench::kThreads);
+  const auto opts = bench::parse_flags(argc, argv, {{0, bench::kThreads}});
   const auto threads = static_cast<std::uint32_t>(opts.threads.value_or(1));
   pad_study(threads);
   granula_study(threads);

@@ -174,7 +174,8 @@ void instrumented_run(const bench::HarnessOptions& opts) {
 
 int main(int argc, char** argv) {
   const auto opts = bench::parse_flags(
-      argc, argv, bench::kReplayFlags | bench::kTrace | bench::kTimeseriesOut);
+      argc, argv, {bench::kReplay, {0, bench::kTrace | bench::kMetricsOut |
+                                           bench::kTimeseriesOut}});
   if (bench::workload_mode(opts, "ecommerce-spike")) return 0;
   table9();
   online_cost_arc();

@@ -4,19 +4,8 @@
 // The default run prices co-tenancy by contrasting identity bindings
 // (each domain on its own dedicated substrate, byte-identical to the
 // standalone simulators) against cluster bindings (everyone leasing from
-// the same machines).
-//
-// Modes:
-//   --sharded [--shards=N --threads=M]   layout-invariant summary of the
-//       canonical bound ecosystem on stdout; the eco-smoke CI job diffs
-//       an 8-shard run against the unsharded output.
-//   --workload=<scenario|file.atl> [--max-events=N]  the shared replay
-//       driver (workload_mode.hpp); a .atl file replays through the
-//       eco-faas-vs-reserved scenario's engine. stdout is the
-//       ReplaySummary text; the eco-smoke CI job diffs the
-//       eco-faas-vs-reserved replay against the committed golden.
-//   --trace/--metrics-out                instrumented run exporting the
-//       span timeline / metrics registry as JSON.
+// the same machines). main() lists the --sharded and --workload modes and
+// the flags each honours, as README.md's harness flag table does.
 
 #include <cstdio>
 #include <string>
@@ -177,8 +166,8 @@ void instrumented_run(const bench::HarnessOptions& opts) {
 int main(int argc, char** argv) {
   const auto opts = bench::parse_flags(
       argc, argv,
-      bench::kReplayFlags | bench::kSharded | bench::kShards |
-          bench::kThreads | bench::kTrace);
+      {bench::kReplay, {bench::kSharded, bench::kShards | bench::kThreads},
+       {0, bench::kTrace | bench::kMetricsOut}});
   if (bench::workload_mode(opts, "eco-faas-vs-reserved")) return 0;
   if (opts.sharded) {
     sharded_mode(opts);

@@ -7,9 +7,9 @@
 // trace::catalog scenario through its engine, or `--workload=<file.atl>`
 // to stream a binary trace from disk. The driver prints the deterministic
 // ReplaySummary (one key=value per line) and exits, skipping the paper
-// tables entirely. Its flags are bench::kReplayFlags (README.md's harness
-// flag table); --workload-out writes the generated trace and replays it
-// back from the file, the write->read round trip CI smokes.
+// tables entirely. Its flags are bench::kReplay's (README.md's harness
+// flag table) and no others; --workload-out writes the generated trace
+// and replays it back from the file, the write->read round trip CI smokes.
 //
 // A .atl file carries events but not an engine binding, so file replays
 // use the harness's default scenario for engine and config; named
@@ -94,9 +94,8 @@ inline void export_plane(const HarnessOptions& opts,
   }
   const std::string& path = opts.timeseries_out;
   if (!path.empty()) {
-    const bool csv =
-        path.size() > 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-    write_text_file(path, csv ? series->csv() : series->json());
+    write_text_file(path, path.ends_with(".csv") ? series->csv()
+                                                 : series->json());
     note("timeseries: " + std::to_string(series->size()) + " rows -> " +
          path);
   }
