@@ -13,8 +13,10 @@
 #include "atlarge/fault/fault.hpp"
 #include "atlarge/obs/observability.hpp"
 #include "atlarge/sched/policies.hpp"
+#include "atlarge/sched/portfolio.hpp"
 #include "atlarge/sched/simulator.hpp"
 #include "atlarge/workflow/generators.hpp"
+#include "golden_util.hpp"
 
 namespace sched = atlarge::sched;
 namespace wf = atlarge::workflow;
@@ -497,6 +499,96 @@ TEST_P(PolicySafety, AllJobsCompleteAndRespectBounds) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicySafety,
                          ::testing::Range<std::size_t>(0, 7));
+
+// Three users share one BigData workload. Every other golden runs a
+// single user, so this pins how FAIR and the portfolio's what-if
+// snapshots see user identity, byte for byte.
+TEST(Policies, MultiUserRunsMatchGoldens) {
+  auto wl = wf::generate({wf::WorkloadClass::kBigData, 60, 4000.0, 7});
+  for (auto& job : wl.jobs) {
+    job.user = "u";
+    job.user += std::to_string(job.id % 3);
+  }
+  const auto env = cluster::make_homogeneous_cluster("Cl", 4, 8);
+
+  std::map<std::string, sched::SchedResult> results;
+  std::map<std::string, std::string> fingerprints;
+  for (const auto& p : sched::standard_policies()) {
+    auto r = sched::simulate(env, wl, *p);
+    fingerprints[p->name()] = atlarge::golden::sched_fingerprint(r);
+    results.emplace(p->name(), std::move(r));
+  }
+  sched::PortfolioScheduler portfolio(sched::standard_policies(), env);
+  std::string fp =
+      atlarge::golden::sched_fingerprint(sched::simulate(env, wl, portfolio));
+  for (const auto& [name, count] : portfolio.selections())
+    fp += " " + name + "=" + std::to_string(count);
+  fingerprints["PORTFOLIO"] = fp;
+
+  const std::map<std::string, std::string> expected = {
+      {"EASY-BF",
+       "jobs=60 mk=22667.478750744354 wait=8509.7945159389255 "
+       "slow=11.103680196235491 p95=29.849904308606526 "
+       "util=0.97787784515199461 tasks=5777 rq=0 inj=0 rec=0 wdig=n=60 "
+       "min=0 max=17078.225399834071 h=53eb600057e46477 sdig=n=60 "
+       "min=1.0000751982599829 max=39.013322630925217 "
+       "h=e358d83f615d0d97"},
+      {"FAIR",
+       "jobs=60 mk=22557.978086810297 wait=7910.7856884272787 "
+       "slow=11.393766224455412 p95=28.71375047027967 "
+       "util=0.98265301117447412 tasks=5777 rq=0 inj=0 rec=0 wdig=n=60 "
+       "min=0 max=16872.563311388429 h=7c637751007b8360 sdig=n=60 "
+       "min=1.0565405285665341 max=36.663622938516568 "
+       "h=1deab5b84975c57b"},
+      {"FCFS",
+       "jobs=60 mk=22667.478750744354 wait=8509.7945159389255 "
+       "slow=11.103680196235491 p95=29.849904308606526 "
+       "util=0.97787784515199461 tasks=5777 rq=0 inj=0 rec=0 wdig=n=60 "
+       "min=0 max=17078.225399834071 h=53eb600057e46477 sdig=n=60 "
+       "min=1.0000751982599829 max=39.013322630925217 "
+       "h=e358d83f615d0d97"},
+      {"LJF",
+       "jobs=60 mk=22562.998689579639 wait=109.14828304555004 "
+       "slow=20.466838325224316 p95=39.529717553015317 "
+       "util=0.98243305004459502 tasks=5777 rq=0 inj=0 rec=0 wdig=n=60 "
+       "min=0 max=2237.8690499893282 h=51c94eae8d68fbb2 sdig=n=60 "
+       "min=7.7228895145970267 max=46.390248537622377 "
+       "h=dcee6ea4928c34e"},
+      {"PORTFOLIO",
+       "jobs=60 mk=22716.617237233841 wait=8337.4449173059584 "
+       "slow=11.22512692580756 p95=29.875097771478693 "
+       "util=0.97575003984709463 tasks=5777 rq=0 inj=0 rec=0 wdig=n=60 "
+       "min=0 max=16761.060773821057 h=843a096f5218959e sdig=n=60 "
+       "min=1.1779341901822362 max=39.109868115546618 "
+       "h=1225cd1457fc3c80 FAIR=9 FCFS=34 LJF=2"},
+      {"RANDOM",
+       "jobs=60 mk=22576.525268783214 wait=108.64482366133943 "
+       "slow=19.706451700910872 p95=34.609487580147437 "
+       "util=0.98184091740893198 tasks=5777 rq=0 inj=0 rec=0 wdig=n=60 "
+       "min=0 max=752.86096363359184 h=649932954ea9b427 sdig=n=60 "
+       "min=7.6814504316345449 max=45.016946410373308 "
+       "h=dfbbbaf0d8de35a8"},
+      {"SJF",
+       "jobs=60 mk=23080.967214183835 wait=2.8987680779752005 "
+       "slow=17.612940204843266 p95=28.288730020823106 "
+       "util=0.96025717220021867 tasks=5777 rq=0 inj=0 rec=0 wdig=n=60 "
+       "min=0 max=18.003369695241418 h=507156a9d746be9f sdig=n=60 "
+       "min=8.0024048473174858 max=30.866445579272931 "
+       "h=b6f67b43ebe117b5"},
+      {"WIDE",
+       "jobs=60 mk=22562.998689579639 wait=109.14828304555004 "
+       "slow=20.466838325224316 p95=39.529717553015317 "
+       "util=0.98243305004459502 tasks=5777 rq=0 inj=0 rec=0 wdig=n=60 "
+       "min=0 max=2237.8690499893282 h=51c94eae8d68fbb2 sdig=n=60 "
+       "min=7.7228895145970267 max=46.390248537622377 "
+       "h=dcee6ea4928c34e"},
+  };
+  EXPECT_EQ(fingerprints, expected);
+  // FAIR orders by per-user usage, so with three users it must not
+  // collapse to FCFS.
+  EXPECT_NE(results.at("FAIR").mean_slowdown,
+            results.at("FCFS").mean_slowdown);
+}
 
 // ---------------------------------------------------------- observability --
 
