@@ -342,8 +342,8 @@ std::vector<sched::TaskRef> portfolio_queue(std::size_t n) {
     ref.task_id = static_cast<std::uint32_t>(i % 8);
     ref.runtime = rng.uniform(5.0, 500.0);
     ref.cores = static_cast<std::uint32_t>(1 + i % 4);
-    ref.user = "u" + std::to_string(i % 4);
-    queue.push_back(std::move(ref));
+    ref.user = static_cast<std::uint32_t>(i % 4);
+    queue.push_back(ref);
   }
   return queue;
 }

@@ -14,16 +14,23 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace atlarge::sched {
 
 /// A queued, eligible task as seen by a policy. (job_id, task_id) is
-/// unique within a simulator queue.
+/// unique within a simulator queue. Trivially copyable, so the simulator
+/// moves runs of queue entries as single blocks.
 struct TaskRef {
   std::uint64_t job_id = 0;
   std::uint32_t task_id = 0;
+  /// The job's user as an id the simulator interns once per job, in
+  /// first-seen order of Job::user; it indexes SchedState::user_usage.
+  /// Ids are only ever compared for identity.
+  std::uint32_t user = 0;
   double runtime = 0.0;       // reference-core runtime
   std::uint32_t cores = 1;
   double submit_time = 0.0;   // job submit time
@@ -34,8 +41,8 @@ struct TaskRef {
   /// Consumers that need arrival order treat equal stamps (as in
   /// hand-built queues, where every stamp is 0) as "keep input order".
   std::uint64_t seq = 0;
-  std::string user;
 };
+static_assert(std::is_trivially_copyable_v<TaskRef>);
 
 /// Positions of `queue`'s tasks in arrival order: by TaskRef::seq, equal
 /// stamps in input order. For consumers that must not depend on the order
@@ -49,8 +56,9 @@ struct SchedState {
   std::uint32_t free_cores = 0;
   std::size_t running_tasks = 0;
   std::size_t queued_tasks = 0;
-  /// Work (core-seconds) completed per user so far; used by fair-share.
-  const std::vector<std::pair<std::string, double>>* user_usage = nullptr;
+  /// Work (core-seconds) completed so far, indexed by TaskRef::user; an
+  /// id past the end has completed none. Used by fair-share.
+  std::span<const double> user_usage;
 };
 
 /// Base class for scheduling policies. Implementations must be

@@ -139,11 +139,8 @@ std::unique_ptr<Policy> RandomPolicy::clone() const {
 }
 
 void FairSharePolicy::order(std::vector<TaskRef>& q, const SchedState& s) {
-  const auto usage_of = [&](const std::string& user) {
-    if (s.user_usage == nullptr) return 0.0;
-    for (const auto& [name, used] : *s.user_usage)
-      if (name == user) return used;
-    return 0.0;
+  const auto usage_of = [&](std::uint32_t user) {
+    return user < s.user_usage.size() ? s.user_usage[user] : 0.0;
   };
   sort_incremental(q, [&](const TaskRef& a, const TaskRef& b) {
     const double ua = usage_of(a.user);

@@ -6,6 +6,7 @@
 #include <map>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "atlarge/obs/observability.hpp"
 #include "atlarge/sched/simulator.hpp"
@@ -84,7 +85,7 @@ workflow::Workload PortfolioScheduler::build_snapshot(
   for (std::size_t k = 0; k < n; ++k) {
     const TaskRef& ref = queue[arrival[k]];
     auto& job = grouped[ref.job_id];
-    job.user = ref.user;
+    if (job.tasks.empty()) job.user = std::to_string(ref.user);
     workflow::Task t;
     t.runtime = ref.runtime;
     t.cores = ref.cores;

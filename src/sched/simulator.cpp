@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "atlarge/fault/injector.hpp"
@@ -34,6 +35,7 @@ struct JobState {
   const workflow::Job* job = nullptr;
   std::vector<TaskState> tasks;
   std::size_t remaining = 0;
+  std::uint32_t user = 0;  // interned Job::user, see TaskRef::user
   double start = -1.0;
   double finish = -1.0;
   bool arrived = false;
@@ -101,6 +103,7 @@ class SchedEngine {
 
     jobs_.reserve(workload.jobs.size());
     job_index_.reserve(workload.jobs.size());
+    std::unordered_map<std::string_view, std::uint32_t> user_ids;
     for (const auto& job : workload.jobs) {
       job.validate();
       if (!job_index_.emplace(job.id, jobs_.size()).second)
@@ -114,12 +117,17 @@ class SchedEngine {
       JobState js;
       js.job = &job;
       js.remaining = job.tasks.size();
+      js.user = user_ids
+                    .try_emplace(job.user,
+                                 static_cast<std::uint32_t>(user_ids.size()))
+                    .first->second;
       js.tasks.resize(job.tasks.size());
       for (std::size_t ti = 0; ti < job.tasks.size(); ++ti)
         js.tasks[ti].remaining_deps =
             static_cast<std::uint32_t>(job.tasks[ti].deps.size());
       jobs_.push_back(std::move(js));
     }
+    user_usage_.assign(user_ids.size(), 0.0);
 
     // Pre-size the kernel for the run's concurrent-event ceiling: one
     // arrival per job, at most one in-flight completion per task, one
@@ -289,7 +297,7 @@ class SchedEngine {
     s.free_cores = free_cores();
     s.running_tasks = running_.size();
     s.queued_tasks = queued;
-    s.user_usage = &user_usage_;
+    s.user_usage = user_usage_;
     return s;
   }
 
@@ -309,8 +317,8 @@ class SchedEngine {
     ref.submit_time = js.job->submit_time;
     ref.eligible_time = sim_.now();
     ref.seq = next_seq_++;
-    ref.user = js.job->user;
-    queue_.push_back(std::move(ref));
+    ref.user = js.user;
+    queue_.push_back(ref);
   }
 
   /// Earliest time a machine can host `cores` given current running tasks.
@@ -432,20 +440,19 @@ class SchedEngine {
   }
 
   /// Removes this pass's placed tasks (ascending positions in placed_at_)
-  /// in one stable sweep, so the rest keep the policy's order.
+  /// in one stable sweep, so the rest keep the policy's order. Each run of
+  /// survivors between two placed positions moves as one block, a memmove
+  /// since TaskRef is trivially copyable.
   void drop_placed() {
     if (placed_at_.empty()) return;
-    std::size_t out = placed_at_.front();
-    std::size_t next = 0;
-    for (std::size_t in = out; in < queue_.size(); ++in) {
-      if (next < placed_at_.size() && placed_at_[next] == in) {
-        ++next;
-        continue;
-      }
-      queue_[out++] = std::move(queue_[in]);
-    }
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(out),
-                 queue_.end());
+    const auto at = [this](std::size_t i) {
+      return queue_.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    placed_at_.push_back(queue_.size());  // the last run ends the queue
+    auto out = at(placed_at_.front());
+    for (std::size_t k = 0; k + 1 < placed_at_.size(); ++k)
+      out = std::move(at(placed_at_[k] + 1), at(placed_at_[k + 1]), out);
+    queue_.erase(out, queue_.end());
   }
 
   void place(const TaskRef& ref, std::size_t mi, double elapsed) {
@@ -505,7 +512,7 @@ class SchedEngine {
       running_.erase(rit);
     }
 
-    add_usage(js.job->user, elapsed * cores);
+    user_usage_[js.user] += elapsed * cores;
 
     // Unlock dependents.
     for (std::size_t other = 0; other < js.job->tasks.size(); ++other) {
@@ -520,16 +527,6 @@ class SchedEngine {
 
     if (--js.remaining == 0) js.finish = sim_.now();
     request_pass();
-  }
-
-  void add_usage(const std::string& user, double work) {
-    for (auto& [name, used] : user_usage_) {
-      if (name == user) {
-        used += work;
-        return;
-      }
-    }
-    user_usage_.emplace_back(user, work);
   }
 
   void observe_busy() {
@@ -597,7 +594,7 @@ class SchedEngine {
   std::uint64_t next_seq_ = 0;
   std::vector<std::size_t> placed_at_;  // queue positions placed this pass
   std::vector<RunningTask> running_;
-  std::vector<std::pair<std::string, double>> user_usage_;
+  std::vector<double> user_usage_;  // core-seconds done, by interned user
   stats::TimeWeighted busy_;
   bool pass_pending_ = false;
   double blocked_until_ = 0.0;

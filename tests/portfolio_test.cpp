@@ -194,8 +194,8 @@ std::vector<sched::TaskRef> synthetic_queue(std::size_t n) {
     ref.task_id = static_cast<std::uint32_t>(i % 4);
     ref.runtime = static_cast<double>(1 + (i * 37) % 200);
     ref.cores = static_cast<std::uint32_t>(1 + i % 3);
-    ref.user = "u" + std::to_string(i % 3);
-    queue.push_back(std::move(ref));
+    ref.user = static_cast<std::uint32_t>(i % 3);
+    queue.push_back(ref);
   }
   return queue;
 }

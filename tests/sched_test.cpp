@@ -301,7 +301,7 @@ TEST(Policies, OrderIsPermutation) {
     ref.runtime = static_cast<double>(10 - i);
     ref.cores = 1 + i % 3;
     ref.submit_time = static_cast<double>(i % 4);
-    ref.user = i % 2 ? "a" : "b";
+    ref.user = i % 2;
     queue.push_back(ref);
   }
   sched::SchedState state;
@@ -333,17 +333,16 @@ TEST(Policies, SjfSortsByRuntime) {
 
 TEST(Policies, FairShareFavorsLeastServedUser) {
   std::vector<sched::TaskRef> queue(2);
-  queue[0].user = "heavy";
+  queue[0].user = 0;  // heavy
   queue[0].job_id = 0;
-  queue[1].user = "light";
+  queue[1].user = 1;  // light
   queue[1].job_id = 1;
-  std::vector<std::pair<std::string, double>> usage = {{"heavy", 100.0},
-                                                       {"light", 1.0}};
+  const std::vector<double> usage = {100.0, 1.0};
   sched::SchedState state;
-  state.user_usage = &usage;
+  state.user_usage = usage;
   sched::FairSharePolicy policy;
   policy.order(queue, state);
-  EXPECT_EQ(queue[0].user, "light");
+  EXPECT_EQ(queue[0].user, 1u);
 }
 
 TEST(Policies, RandomIsSeedDeterministic) {
@@ -415,14 +414,13 @@ TEST(Policies, TotalOrderPoliciesIgnoreInputOrder) {
       ref.submit_time = static_cast<double>(gen() % 4);
       ref.eligible_time = ref.submit_time + static_cast<double>(gen() % 3);
       ref.seq = queue.size();
-      ref.user = std::string(1, static_cast<char>('a' + gen() % 3));
-      queue.push_back(std::move(ref));
+      ref.user = static_cast<std::uint32_t>(gen() % 3);  // 2 has no usage
+      queue.push_back(ref);
     }
   }
-  const std::vector<std::pair<std::string, double>> usage = {{"a", 50.0},
-                                                             {"b", 5.0}};
+  const std::vector<double> usage = {50.0, 5.0};
   sched::SchedState state;
-  state.user_usage = &usage;
+  state.user_usage = usage;
 
   const auto ids = [](const std::vector<sched::TaskRef>& q) {
     std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
