@@ -97,13 +97,19 @@ struct Mode {
 constexpr Mode kReplay{kWorkload,
                        kWorkloadOut | kMaxEvents | kSeed | kMetricsOut};
 
-/// Exits with status 2 after one stderr line, "<program>: <message>".
-[[noreturn]] inline void usage_error(const char* program,
-                                     const std::string& message) {
+/// Exits with `status` after one stderr line, "<program>: <message>".
+[[noreturn]] inline void fail(const char* program, const std::string& message,
+                              int status) {
   const char* slash = std::strrchr(program, '/');
   std::fprintf(stderr, "%s: %s\n", slash ? slash + 1 : program,
                message.c_str());
-  std::exit(2);
+  std::exit(status);
+}
+
+/// A bad command line: fail() with status 2.
+[[noreturn]] inline void usage_error(const char* program,
+                                     const std::string& message) {
+  fail(program, message, 2);
 }
 
 /// Reads argv[first..argc) as `--name=<v>`, `--name <v>` or a bare switch.

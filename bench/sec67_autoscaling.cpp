@@ -41,7 +41,7 @@ workflow::Workload experiment_workload(std::size_t experiment) {
 int main(int argc, char** argv) {
   const auto opts = bench::parse_flags(
       argc, argv, {bench::kReplay, {bench::kFaults, bench::kFaultSeed}});
-  if (bench::workload_mode(opts, "gaming-diurnal")) return 0;
+  if (bench::workload_mode(argv[0], opts, "gaming-diurnal")) return 0;
   bench::header("Section 6.7: autoscaler evaluation (N=5 experiments)");
 
   const std::size_t kExperiments = 5;

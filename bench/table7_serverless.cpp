@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
       argc, argv,
       {bench::kReplay, {bench::kFaults, bench::kFaultSeed | kExport},
        {0, kExport}});
-  if (bench::workload_mode(opts, "feed-fanout")) return 0;
+  if (bench::workload_mode(argv[0], opts, "feed-fanout")) return 0;
   bench::header("Table 7 / Section 6.4: serverless studies");
   study_economics();
   study_cold_starts();

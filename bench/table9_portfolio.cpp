@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
   const auto opts = bench::parse_flags(
       argc, argv, {bench::kReplay, {0, bench::kTrace | bench::kMetricsOut |
                                            bench::kTimeseriesOut}});
-  if (bench::workload_mode(opts, "ecommerce-spike")) return 0;
+  if (bench::workload_mode(argv[0], opts, "ecommerce-spike")) return 0;
   table9();
   online_cost_arc();
   misselection();

@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
       argc, argv,
       {bench::kReplay, {bench::kSharded, bench::kShards | bench::kThreads},
        {0, bench::kTrace | bench::kMetricsOut}});
-  if (bench::workload_mode(opts, "eco-faas-vs-reserved")) return 0;
+  if (bench::workload_mode(argv[0], opts, "eco-faas-vs-reserved")) return 0;
   if (opts.sharded) {
     sharded_mode(opts);
     return 0;

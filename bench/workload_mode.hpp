@@ -16,7 +16,7 @@
 // scenarios may belong to any engine (the catalog knows which).
 
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "atlarge/obs/observability.hpp"
@@ -27,8 +27,10 @@ namespace atlarge::bench {
 
 /// Runs replay mode if `--workload` was passed. Returns true when it ran
 /// (the caller should exit 0) and false when the harness should print its
-/// normal tables.
-inline bool workload_mode(const HarnessOptions& opts,
+/// normal tables. An unknown scenario is a usage error (status 2), and a
+/// trace that cannot be read or written ends `program` with status 1, each
+/// with one stderr line.
+inline bool workload_mode(const char* program, const HarnessOptions& opts,
                           const char* default_scenario) {
   const std::string& workload = opts.workload;
   if (workload.empty()) return false;
@@ -38,12 +40,10 @@ inline bool workload_mode(const HarnessOptions& opts,
   const trace::catalog::Scenario* scenario =
       trace::catalog::find(is_file ? default_scenario : workload.c_str());
   if (scenario == nullptr) {
-    std::fprintf(stderr, "unknown scenario '%s'; catalog:\n",
-                 workload.c_str());
-    for (const auto& s : trace::catalog::scenarios())
-      std::fprintf(stderr, "  %-18s %-10s %s\n", s.name.c_str(),
-                   s.engine.c_str(), s.family.c_str());
-    std::exit(2);
+    std::string names;
+    for (const auto& s : trace::catalog::scenarios()) names += " " + s.name;
+    usage_error(program,
+                "unknown scenario '" + workload + "'; catalog:" + names);
   }
 
   obs::Registry registry;
@@ -54,16 +54,20 @@ inline bool workload_mode(const HarnessOptions& opts,
 
   trace::catalog::ReplaySummary summary;
   const std::string& out = opts.workload_out;
-  if (is_file) {
-    summary = trace::catalog::replay_file(*scenario, workload, options);
-  } else if (!out.empty()) {
-    const auto written = trace::catalog::write_trace(*scenario, out, seed,
-                                                     options.max_events);
-    std::fprintf(stderr, "wrote %llu events to %s\n",
-                 static_cast<unsigned long long>(written), out.c_str());
-    summary = trace::catalog::replay_file(*scenario, out, options);
-  } else {
-    summary = trace::catalog::replay_generated(*scenario, seed, options);
+  try {
+    if (is_file) {
+      summary = trace::catalog::replay_file(*scenario, workload, options);
+    } else if (!out.empty()) {
+      const auto written = trace::catalog::write_trace(*scenario, out, seed,
+                                                       options.max_events);
+      std::fprintf(stderr, "wrote %llu events to %s\n",
+                   static_cast<unsigned long long>(written), out.c_str());
+      summary = trace::catalog::replay_file(*scenario, out, options);
+    } else {
+      summary = trace::catalog::replay_generated(*scenario, seed, options);
+    }
+  } catch (const std::exception& error) {
+    fail(program, error.what(), 1);
   }
 
   std::fputs(summary.text().c_str(), stdout);
