@@ -44,9 +44,6 @@ struct Job {
   /// Requires a valid (acyclic) job.
   double critical_path() const;
 
-  /// True if no task has dependencies (a bag-of-tasks).
-  bool is_bag_of_tasks() const noexcept;
-
   /// Topological order of task indices; throws std::invalid_argument if the
   /// dependency graph has a cycle or an out-of-range edge.
   std::vector<TaskId> topological_order() const;
@@ -60,7 +57,6 @@ struct Workload {
   std::string name;
   std::vector<Job> jobs;
 
-  double makespan_lower_bound(std::uint32_t total_cores) const;
   double total_work() const noexcept;
   /// Sorts jobs by submit time (stable) and re-assigns contiguous ids.
   void normalize();

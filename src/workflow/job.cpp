@@ -12,11 +12,6 @@ double Job::total_work() const noexcept {
   return work;
 }
 
-bool Job::is_bag_of_tasks() const noexcept {
-  return std::all_of(tasks.begin(), tasks.end(),
-                     [](const Task& t) { return t.deps.empty(); });
-}
-
 std::vector<TaskId> Job::topological_order() const {
   const std::size_t n = tasks.size();
   std::vector<std::uint32_t> indegree(n, 0);
@@ -83,19 +78,6 @@ double Workload::total_work() const noexcept {
   double work = 0.0;
   for (const auto& j : jobs) work += j.total_work();
   return work;
-}
-
-double Workload::makespan_lower_bound(std::uint32_t total_cores) const {
-  if (jobs.empty() || total_cores == 0) return 0.0;
-  double first_submit = jobs.front().submit_time;
-  double max_path = 0.0;
-  for (const auto& j : jobs) {
-    first_submit = std::min(first_submit, j.submit_time);
-    max_path = std::max(max_path, j.submit_time + j.critical_path());
-  }
-  const double work_bound =
-      first_submit + total_work() / static_cast<double>(total_cores);
-  return std::max(work_bound, max_path);
 }
 
 void Workload::normalize() {

@@ -33,14 +33,6 @@ TEST(Job, TotalWorkSumsCoreSeconds) {
   EXPECT_DOUBLE_EQ(job.total_work(), 40.0);
 }
 
-TEST(Job, BagOfTasksDetection) {
-  wf::Job bag;
-  bag.tasks.push_back({1.0, 1, {}});
-  bag.tasks.push_back({1.0, 1, {}});
-  EXPECT_TRUE(bag.is_bag_of_tasks());
-  EXPECT_FALSE(diamond().is_bag_of_tasks());
-}
-
 TEST(Job, TopologicalOrderRespectsDeps) {
   const auto job = diamond();
   const auto order = job.topological_order();
@@ -138,34 +130,14 @@ TEST(Workload, NormalizeSortsAndReindexes) {
   EXPECT_EQ(wl.jobs[1].id, 1u);
 }
 
-TEST(Workload, MakespanLowerBoundDominatedByWork) {
-  wf::Workload wl;
-  wf::Job job;
-  job.submit_time = 0.0;
-  for (int i = 0; i < 10; ++i) job.tasks.push_back({10.0, 1, {}});
-  wl.jobs.push_back(job);
-  // 100 core-seconds on 2 cores -> at least 50s.
-  EXPECT_DOUBLE_EQ(wl.makespan_lower_bound(2), 50.0);
-}
-
-TEST(Workload, MakespanLowerBoundDominatedByCriticalPath) {
-  wf::Workload wl;
-  Rng rng(1);
-  wf::Job chain = wf::make_chain(5, 10.0, rng);
-  chain.submit_time = 0.0;
-  wl.jobs.push_back(chain);
-  // With many cores the critical path dominates.
-  EXPECT_NEAR(wl.makespan_lower_bound(1'000), chain.critical_path(), 1e-9);
-}
-
 // ------------------------------------------------------------- generators --
 
 TEST(Generators, BagShapeAndBounds) {
   Rng rng(2);
   const auto bag = wf::make_bag_of_tasks(50, 1.0, 100.0, 1.5, rng);
   EXPECT_EQ(bag.size(), 50u);
-  EXPECT_TRUE(bag.is_bag_of_tasks());
   for (const auto& t : bag.tasks) {
+    EXPECT_TRUE(t.deps.empty());
     EXPECT_GE(t.runtime, 1.0 - 1e-9);
     EXPECT_LE(t.runtime, 100.0 + 1e-9);
   }
