@@ -114,7 +114,9 @@ Environment make_multi_cluster(std::string name, std::size_t clusters,
   env.name = std::move(name);
   env.type = EnvironmentType::kMultiCluster;
   for (std::size_t c = 0; c < clusters; ++c) {
-    env.clusters.push_back(homogeneous("c" + std::to_string(c),
+    std::string cluster_name = "c";
+    cluster_name += std::to_string(c);
+    env.clusters.push_back(homogeneous(std::move(cluster_name),
                                        machines_per_cluster,
                                        cores_per_machine, 1.0));
   }

@@ -100,7 +100,8 @@ std::string run_script(std::uint64_t seed, std::size_t n) {
       log += std::to_string(i) + "@" + exact(sim.now()) + ";";
       if (spawn_child) {
         sim.schedule_after(child_gap, [&log, &sim, i] {
-          log += "c" + std::to_string(i) + "@" + exact(sim.now()) + ";";
+          log += 'c';
+          log += std::to_string(i) + "@" + exact(sim.now()) + ";";
         });
       }
     }));
@@ -118,7 +119,9 @@ std::string run_script(std::uint64_t seed, std::size_t n) {
   }
   sim.schedule_at(0.75, [&handles, &victims, &log] {
     for (const std::size_t i : victims) {
-      if (handles[i].cancel()) log += "x" + std::to_string(i) + ";";
+      if (!handles[i].cancel()) continue;
+      log += 'x';
+      log += std::to_string(i) + ";";
     }
   });
   sim.run();
@@ -172,13 +175,18 @@ std::string keepalive_script(std::uint64_t seed, std::size_t requests) {
   };
   const auto expire = [&log, &sim](std::size_t e) {
     return [&log, &sim, e] {
-      log += "e" + std::to_string(e) + "@" + exact(sim.now()) + ";";
+      log += 'e';
+      log += std::to_string(e) + "@" + exact(sim.now()) + ";";
     };
   };
   std::size_t remaining = requests;
   std::function<void(std::size_t)> request = [&](std::size_t e) {
-    log += "r" + std::to_string(e) + "@" + exact(sim.now()) + ";";
-    if (timers[e].cancel()) log += "x" + std::to_string(e) + ";";
+    log += 'r';
+    log += std::to_string(e) + "@" + exact(sim.now()) + ";";
+    if (timers[e].cancel()) {
+      log += 'x';
+      log += std::to_string(e) + ";";
+    }
     timers[e] = sim.schedule_after(grid(20, 120), expire(e));
     if (remaining == 0) return;
     --remaining;
