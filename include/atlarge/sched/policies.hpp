@@ -71,8 +71,9 @@ class RandomPolicy final : public Policy {
   std::uint64_t seed_;
 };
 
-/// Fair-share: tasks of the least-served user first (by consumed
-/// core-seconds), FCFS within a user.
+/// Fair-share: tasks of the least-served user first, by the core-seconds
+/// SchedState::user_usage holds at their TaskRef::user id (an id past its
+/// end has used none), then FCFS. Each lookup is one array index.
 class FairSharePolicy final : public Policy {
  public:
   std::string name() const override { return "FAIR"; }
