@@ -1,6 +1,7 @@
 // Tests for autoscalers, the elastic simulator, elasticity metrics, and
 // the ranking/grading methods (paper Section 6.7).
 
+#include <limits>
 #include <string_view>
 
 #include <gtest/gtest.h>
@@ -211,6 +212,39 @@ TEST(ElasticSim, RejectsTooWideTasks) {
   as::ElasticConfig config;
   config.cores_per_machine = 4;
   EXPECT_THROW(as::run_elastic(wl, react, config), std::invalid_argument);
+}
+
+TEST(ElasticSim, RejectsInvalidJobs) {
+  as::ReactAutoscaler react;
+  const auto two_tasks = [](std::vector<wf::TaskId> deps0,
+                            std::vector<wf::TaskId> deps1) {
+    wf::Workload wl;
+    wf::Job job;
+    job.tasks.push_back({1.0, 1, std::move(deps0)});
+    job.tasks.push_back({1.0, 1, std::move(deps1)});
+    wl.jobs.push_back(job);
+    return wl;
+  };
+  EXPECT_THROW(as::run_elastic(two_tasks({}, {7}), react),
+               std::invalid_argument);  // out of range
+  EXPECT_THROW(as::run_elastic(two_tasks({1}, {0}), react),
+               std::invalid_argument);  // cycle
+  auto nan_runtime = two_tasks({}, {0});
+  nan_runtime.jobs[0].tasks[1].runtime =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(as::run_elastic(nan_runtime, react), std::invalid_argument);
+}
+
+TEST(ElasticSim, DependencyListedTwiceStillUnlocks) {
+  wf::Workload wl;
+  wf::Job job;
+  job.tasks.push_back({1.0, 1, {}});
+  job.tasks.push_back({2.0, 1, {0, 0}});
+  wl.jobs.push_back(job);
+  as::ReactAutoscaler react;
+  const auto result = as::run_elastic(wl, react);
+  ASSERT_EQ(result.jobs.size(), 1u);
+  EXPECT_DOUBLE_EQ(result.jobs[0].finish, 3.0);
 }
 
 TEST(ElasticSim, SeriesRecorded) {

@@ -91,6 +91,23 @@ TEST(Simulator, DependenciesRespected) {
   EXPECT_DOUBLE_EQ(result.makespan, 6.0);  // chain, despite free cores
 }
 
+TEST(Simulator, DependencyListedTwiceStillUnlocks) {
+  // Job::validate accepts a repeated dependency; it counts twice, and the
+  // one completion of task 0 pays both counts.
+  const auto env = cluster::make_homogeneous_cluster("c", 1, 2);
+  wf::Workload wl;
+  wf::Job job;
+  job.tasks.push_back({1.0, 1, {}});
+  job.tasks.push_back({2.0, 1, {0, 0}});
+  wl.jobs.push_back(job);
+  wl.normalize();
+  sched::FcfsPolicy policy;
+  const auto result = sched::simulate(env, wl, policy);
+  ASSERT_EQ(result.jobs.size(), 1u);
+  EXPECT_EQ(result.tasks_completed, 2u);
+  EXPECT_DOUBLE_EQ(result.jobs[0].finish, 3.0);
+}
+
 TEST(Simulator, GeoDispatchLatencyApplied) {
   // Two DCs of 1x1; two equal jobs. One runs remotely and pays latency.
   auto env = cluster::make_geo_distributed("g", 2, 1, 1, 0.5);

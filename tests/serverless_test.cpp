@@ -372,6 +372,19 @@ TEST(WorkflowEngine, RejectsBadFunctionIndex) {
                std::invalid_argument);
 }
 
+TEST(WorkflowEngine, DependencyListedTwiceStillFinishes) {
+  const auto registry = sl::uniform_registry(2, 0.1, 1.0);
+  auto job = sl::make_chain_workflow(2, 2, 0.0);
+  job.tasks[1].deps = {0, 0};
+  std::vector<atlarge::workflow::Job> jobs = {job};
+  sl::OrchestratorConfig orch;
+  orch.step_overhead = 0.0;
+  const auto result = sl::run_workflows(registry, jobs, {}, orch);
+  ASSERT_EQ(result.runs.size(), 1u);
+  EXPECT_GT(result.runs[0].makespan(), 0.0);
+  EXPECT_NEAR(result.runs[0].makespan(), 2 * 1.1, 1e-6);  // two cold steps
+}
+
 TEST(WorkflowEngine, ColdFractionAggregates) {
   const auto registry = sl::uniform_registry(2, 0.1, 1.0);
   std::vector<atlarge::workflow::Job> jobs = {

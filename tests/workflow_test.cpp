@@ -45,6 +45,20 @@ TEST(Job, TopologicalOrderRespectsDeps) {
   EXPECT_LT(position[2], position[3]);
 }
 
+TEST(Job, TopologicalOrderIsFifoOverTaskIndex) {
+  // Deps listed out of order, and 1 listed twice by task 2: Kahn's FIFO
+  // starts from the roots in index order and appends each unlocked task
+  // in index order.
+  wf::Job job;
+  job.tasks.resize(6);
+  job.tasks[0].deps = {3};
+  job.tasks[2].deps = {5, 1, 1};
+  job.tasks[3].deps = {5};
+  job.tasks[5].deps = {4, 1};
+  EXPECT_EQ(job.topological_order(),
+            (std::vector<wf::TaskId>{1, 4, 5, 2, 3, 0}));
+}
+
 TEST(Job, CycleDetected) {
   wf::Job job;
   job.tasks.resize(2);
