@@ -80,8 +80,10 @@ struct ElasticResult {
   }
 };
 
-/// Runs `workload` under `autoscaler` control. Tasks wider than one
-/// machine are rejected (std::invalid_argument). Deterministic.
+/// Runs `workload` under `autoscaler` control. Invalid jobs (those
+/// Job::validate rejects: an out-of-range or self dependency, a cycle, a
+/// non-finite or non-positive runtime) and tasks wider than one machine
+/// are rejected with std::invalid_argument. Deterministic.
 ElasticResult run_elastic(const workflow::Workload& workload,
                           Autoscaler& autoscaler,
                           const ElasticConfig& config = {});

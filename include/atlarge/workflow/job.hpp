@@ -9,6 +9,7 @@
 // construction time.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,7 +29,9 @@ struct Task {
 /// Invariants (enforced by Job::validate, called by the generators and by
 /// the simulators on ingest): every dependency index is in range, the
 /// dependency graph is acyclic, runtimes are positive and finite, the
-/// submit time is finite, cores >= 1.
+/// submit time is finite, cores >= 1. A dependency listed twice is an
+/// edge counted twice: the task waits for two finishes of the same task,
+/// and its dependency's one finish pays both.
 struct Job {
   std::uint64_t id = 0;
   double submit_time = 0.0;
@@ -50,6 +53,39 @@ struct Job {
 
   /// Validates all invariants; throws std::invalid_argument on violation.
   void validate() const;
+};
+
+/// The one DAG walk of every workflow engine and of topological_order():
+/// indexes each task's dependents once, in task order, and counts each
+/// task's unfinished dependencies (a dependency listed twice counts twice).
+/// Jobs are named by their index in the span, tasks by their TaskId; all
+/// jobs share flat arrays indexed by a per-job base offset.
+class Countdown {
+ public:
+  /// Throws std::invalid_argument on an out-of-range or self dependency.
+  explicit Countdown(std::span<const Job> jobs);
+
+  /// Marks task `task` of job `job` finished: calls ready(d) for each
+  /// dependent d whose last unfinished dependency this was, in ascending
+  /// d, and returns true when it was the job's last unfinished task. Each
+  /// task finishes at most once.
+  template <class Ready>
+  bool finish(std::size_t job, TaskId task, Ready&& ready) {
+    const std::size_t base = base_[job];
+    const std::size_t at = base + task;
+    for (std::size_t e = first_[at]; e < first_[at + 1]; ++e) {
+      const TaskId d = dependents_[e];
+      if (--waiting_[base + d] == 0) ready(d);
+    }
+    return --unfinished_[job] == 0;
+  }
+
+ private:
+  std::vector<std::size_t> base_;        // per job: flat index of task 0
+  std::vector<std::size_t> unfinished_;  // per job: tasks not yet finished
+  std::vector<std::uint32_t> waiting_;   // per task: unfinished deps
+  std::vector<std::size_t> first_;       // per task, +1: into dependents_
+  std::vector<TaskId> dependents_;       // per task: dependents, ascending
 };
 
 /// A workload: jobs sorted by nondecreasing submit time.

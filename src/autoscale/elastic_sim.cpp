@@ -19,8 +19,6 @@ enum class TaskStatus : std::uint8_t { kPending, kEligible, kRunning, kDone };
 
 struct TaskState {
   TaskStatus status = TaskStatus::kPending;
-  std::uint32_t remaining_deps = 0;
-  double eligible_time = 0.0;
   double expected_finish = 0.0;  // valid while running
   std::uint32_t machine = 0;     // valid while running
   sim::EventHandle completion;   // valid while running
@@ -30,7 +28,6 @@ struct TaskState {
 struct JobState {
   const workflow::Job* job = nullptr;
   std::vector<TaskState> tasks;
-  std::size_t remaining = 0;
   double start = -1.0;
   double finish = -1.0;
   bool arrived = false;
@@ -46,7 +43,10 @@ class ElasticEngine {
  public:
   ElasticEngine(const workflow::Workload& workload, Autoscaler& autoscaler,
                 const ElasticConfig& config)
-      : autoscaler_(autoscaler), config_(config), obs_(config.obs) {
+      : autoscaler_(autoscaler),
+        config_(config),
+        countdown_(workload.jobs),
+        obs_(config.obs) {
     if (obs_ != nullptr) {
       ticks_ = &obs_->metrics.counter("autoscale.ticks");
       added_ = &obs_->metrics.counter("autoscale.machines_added");
@@ -56,6 +56,7 @@ class ElasticEngine {
     }
     jobs_.reserve(workload.jobs.size());
     for (const auto& job : workload.jobs) {
+      job.validate();
       for (const auto& t : job.tasks) {
         if (t.cores > config.cores_per_machine)
           throw std::invalid_argument(
@@ -63,11 +64,7 @@ class ElasticEngine {
       }
       JobState js;
       js.job = &job;
-      js.remaining = job.tasks.size();
       js.tasks.resize(job.tasks.size());
-      for (std::size_t ti = 0; ti < job.tasks.size(); ++ti)
-        js.tasks[ti].remaining_deps =
-            static_cast<std::uint32_t>(job.tasks[ti].deps.size());
       jobs_.push_back(std::move(js));
     }
   }
@@ -232,9 +229,8 @@ class ElasticEngine {
     auto& js = jobs_[ji];
     js.arrived = true;
     for (std::size_t ti = 0; ti < js.tasks.size(); ++ti) {
-      if (js.tasks[ti].remaining_deps == 0) {
+      if (js.job->tasks[ti].deps.empty()) {
         js.tasks[ti].status = TaskStatus::kEligible;
-        js.tasks[ti].eligible_time = sim_.now();
         eligible_.emplace_back(ji, ti);
       }
     }
@@ -262,7 +258,6 @@ class ElasticEngine {
         if (ts.status != TaskStatus::kRunning || ts.machine != mi) continue;
         ts.completion.cancel();
         ts.status = TaskStatus::kEligible;
-        ts.eligible_time = sim_.now();
         ts.blame = blame;
         eligible_.emplace_back(ji, ti);
         ++result_.tasks_requeued;
@@ -336,20 +331,11 @@ class ElasticEngine {
       --drain_quota_;
     }
 
-    for (std::size_t other = 0; other < js.job->tasks.size(); ++other) {
-      if (js.tasks[other].status != TaskStatus::kPending) continue;
-      const auto& deps = js.job->tasks[other].deps;
-      if (std::find(deps.begin(), deps.end(),
-                    static_cast<workflow::TaskId>(ti)) == deps.end())
-        continue;
-      if (--js.tasks[other].remaining_deps == 0) {
-        js.tasks[other].status = TaskStatus::kEligible;
-        js.tasks[other].eligible_time = sim_.now();
-        eligible_.emplace_back(ji, other);
-      }
-    }
-
-    if (--js.remaining == 0) {
+    if (countdown_.finish(ji, static_cast<workflow::TaskId>(ti),
+                          [&](workflow::TaskId d) {
+                            js.tasks[d].status = TaskStatus::kEligible;
+                            eligible_.emplace_back(ji, d);
+                          })) {
       js.finish = sim_.now();
       ++completed_jobs_;
     }
@@ -402,6 +388,7 @@ class ElasticEngine {
   ElasticConfig config_;
   sim::Simulation sim_;
   std::vector<JobState> jobs_;
+  workflow::Countdown countdown_;  // indexed like jobs_
   std::vector<MachineInst> machines_;
   std::deque<std::pair<std::size_t, std::size_t>> eligible_;
   std::uint32_t pending_ = 0;

@@ -27,18 +27,15 @@ enum class TaskStatus : std::uint8_t { kPending, kEligible, kRunning, kDone };
 
 struct TaskState {
   TaskStatus status = TaskStatus::kPending;
-  std::uint32_t remaining_deps = 0;
   double eligible_time = 0.0;
 };
 
 struct JobState {
   const workflow::Job* job = nullptr;
   std::vector<TaskState> tasks;
-  std::size_t remaining = 0;
   std::uint32_t user = 0;  // interned Job::user, see TaskRef::user
   double start = -1.0;
   double finish = -1.0;
-  bool arrived = false;
 };
 
 struct MachineState {
@@ -70,7 +67,8 @@ class SchedEngine {
         policy_(policy),
         options_(options),
         obs_(options.obs),
-        sim_(sim) {
+        sim_(sim),
+        countdown_(workload.jobs) {
     if (obs_ != nullptr) {
       passes_ = &obs_->metrics.counter("sched.passes");
       placed_ = &obs_->metrics.counter("sched.tasks_placed");
@@ -116,15 +114,11 @@ class SchedEngine {
       }
       JobState js;
       js.job = &job;
-      js.remaining = job.tasks.size();
       js.user = user_ids
                     .try_emplace(job.user,
                                  static_cast<std::uint32_t>(user_ids.size()))
                     .first->second;
       js.tasks.resize(job.tasks.size());
-      for (std::size_t ti = 0; ti < job.tasks.size(); ++ti)
-        js.tasks[ti].remaining_deps =
-            static_cast<std::uint32_t>(job.tasks[ti].deps.size());
       jobs_.push_back(std::move(js));
     }
     user_usage_.assign(user_ids.size(), 0.0);
@@ -265,10 +259,9 @@ class SchedEngine {
   }
 
   void arrive(std::size_t ji) {
-    auto& js = jobs_[ji];
-    js.arrived = true;
-    for (std::size_t ti = 0; ti < js.tasks.size(); ++ti)
-      if (js.tasks[ti].remaining_deps == 0) enqueue(ji, ti);
+    const auto& tasks = jobs_[ji].job->tasks;
+    for (std::size_t ti = 0; ti < tasks.size(); ++ti)
+      if (tasks[ti].deps.empty()) enqueue(ji, ti);
     request_pass();
   }
 
@@ -514,18 +507,9 @@ class SchedEngine {
 
     user_usage_[js.user] += elapsed * cores;
 
-    // Unlock dependents.
-    for (std::size_t other = 0; other < js.job->tasks.size(); ++other) {
-      if (js.tasks[other].status != TaskStatus::kPending) continue;
-      const auto& deps = js.job->tasks[other].deps;
-      if (std::find(deps.begin(), deps.end(),
-                    static_cast<workflow::TaskId>(ti)) == deps.end())
-        continue;
-      if (--js.tasks[other].remaining_deps == 0 && js.arrived)
-        enqueue(ji, other);
-    }
-
-    if (--js.remaining == 0) js.finish = sim_.now();
+    if (countdown_.finish(ji, static_cast<workflow::TaskId>(ti),
+                          [&](workflow::TaskId d) { enqueue(ji, d); }))
+      js.finish = sim_.now();
     request_pass();
   }
 
@@ -587,6 +571,7 @@ class SchedEngine {
   sim::Simulation& sim_;  // borrowed: simulate()'s own or a shared one
   std::vector<MachineState> machines_;
   std::vector<JobState> jobs_;
+  workflow::Countdown countdown_;  // indexed like jobs_
   std::unordered_map<std::uint64_t, std::size_t> job_index_;  // id -> jobs_
   // The eligible queue, persistent across passes in the order the policy
   // left it; newly eligible tasks are appended with the next seq stamp.

@@ -27,7 +27,8 @@ class WorkflowRunner {
         jobs_(jobs),
         platform_(platform),
         orch_(orchestrator),
-        pools_(registry.size()) {
+        pools_(registry.size()),
+        countdown_(jobs) {
     for (const auto& job : jobs_) {
       job.validate();
       for (const auto& t : job.tasks) {
@@ -46,15 +47,9 @@ class WorkflowRunner {
     for (const auto& job : jobs_) total_tasks += job.tasks.size();
     sim_.reserve(jobs_.size() + 2 * total_tasks + 8);
     for (std::size_t ji = 0; ji < jobs_.size(); ++ji) {
-      states_[ji].remaining_deps.resize(jobs_[ji].tasks.size());
-      states_[ji].done.assign(jobs_[ji].tasks.size(), false);
-      states_[ji].remaining = jobs_[ji].tasks.size();
-      for (std::size_t ti = 0; ti < jobs_[ji].tasks.size(); ++ti)
-        states_[ji].remaining_deps[ti] =
-            static_cast<std::uint32_t>(jobs_[ji].tasks[ti].deps.size());
       sim_.schedule_at(jobs_[ji].submit_time, [this, ji] {
         for (std::size_t ti = 0; ti < jobs_[ji].tasks.size(); ++ti) {
-          if (states_[ji].remaining_deps[ti] == 0) dispatch(ji, ti);
+          if (jobs_[ji].tasks[ti].deps.empty()) dispatch(ji, ti);
         }
       });
     }
@@ -65,9 +60,6 @@ class WorkflowRunner {
 
  private:
   struct JobRun {
-    std::vector<std::uint32_t> remaining_deps;
-    std::vector<bool> done;
-    std::size_t remaining = 0;
     std::size_t cold_steps = 0;
     double finish = 0.0;
   };
@@ -126,19 +118,9 @@ class WorkflowRunner {
   }
 
   void complete(std::size_t ji, std::size_t ti) {
-    auto& js = states_[ji];
-    js.done[ti] = true;
-    const auto& job = jobs_[ji];
-    for (std::size_t other = 0; other < job.tasks.size(); ++other) {
-      if (js.done[other]) continue;
-      const auto& deps = job.tasks[other].deps;
-      if (std::find(deps.begin(), deps.end(),
-                    static_cast<workflow::TaskId>(ti)) == deps.end())
-        continue;
-      if (js.remaining_deps[other] > 0 && --js.remaining_deps[other] == 0)
-        dispatch(ji, other);
-    }
-    if (--js.remaining == 0) js.finish = sim_.now();
+    if (countdown_.finish(ji, static_cast<workflow::TaskId>(ti),
+                          [&](workflow::TaskId d) { dispatch(ji, d); }))
+      states_[ji].finish = sim_.now();
   }
 
   void finalize() {
@@ -169,6 +151,7 @@ class WorkflowRunner {
   OrchestratorConfig orch_;
   sim::Simulation sim_;
   std::vector<std::vector<WarmSlot>> pools_;
+  workflow::Countdown countdown_;  // indexed like jobs_
   std::vector<JobRun> states_;
   WorkflowEngineResult result_;
 };

@@ -12,35 +12,58 @@ double Job::total_work() const noexcept {
   return work;
 }
 
+Countdown::Countdown(std::span<const Job> jobs) {
+  base_.reserve(jobs.size());
+  unfinished_.reserve(jobs.size());
+  std::size_t tasks = 0;
+  for (const Job& job : jobs) {
+    base_.push_back(tasks);
+    unfinished_.push_back(job.tasks.size());
+    tasks += job.tasks.size();
+  }
+  // Counting sort of the edges by dependency: count each task's dependents
+  // into first_[task + 1], prefix-sum, then fill in task order so each
+  // task's dependents come out ascending.
+  waiting_.assign(tasks, 0);
+  first_.assign(tasks + 1, 0);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const auto& job_tasks = jobs[j].tasks;
+    for (std::size_t i = 0; i < job_tasks.size(); ++i) {
+      for (TaskId dep : job_tasks[i].deps) {
+        if (dep >= job_tasks.size())
+          throw std::invalid_argument("Job: dependency index out of range");
+        if (dep == i) throw std::invalid_argument("Job: self-dependency");
+        ++first_[base_[j] + dep + 1];
+        ++waiting_[base_[j] + i];
+      }
+    }
+  }
+  for (std::size_t t = 0; t < tasks; ++t) first_[t + 1] += first_[t];
+  dependents_.resize(first_[tasks]);
+  // Filling advances first_[dep] to the end of dep's range, which is where
+  // dep + 1's begins: shifting first_ up one slot restores the offsets.
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const auto& job_tasks = jobs[j].tasks;
+    for (std::size_t i = 0; i < job_tasks.size(); ++i)
+      for (TaskId dep : job_tasks[i].deps)
+        dependents_[first_[base_[j] + dep]++] = static_cast<TaskId>(i);
+  }
+  std::copy_backward(first_.begin(), first_.end() - 1, first_.end());
+  first_[0] = 0;
+}
+
 std::vector<TaskId> Job::topological_order() const {
-  const std::size_t n = tasks.size();
-  std::vector<std::uint32_t> indegree(n, 0);
-  std::vector<std::vector<TaskId>> children(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (TaskId dep : tasks[i].deps) {
-      if (dep >= n)
-        throw std::invalid_argument("Job: dependency index out of range");
-      if (dep == i) throw std::invalid_argument("Job: self-dependency");
-      children[dep].push_back(static_cast<TaskId>(i));
-      ++indegree[i];
-    }
-  }
+  // Kahn's algorithm with `order` as its FIFO: roots in index order, then
+  // each unlocked task in the order the countdown releases it, which keeps
+  // the order reproducible across runs.
+  Countdown countdown(std::span(this, 1));
   std::vector<TaskId> order;
-  order.reserve(n);
-  // Kahn's algorithm; a deterministic FIFO over task index keeps the order
-  // reproducible across runs.
-  std::vector<TaskId> frontier;
-  for (std::size_t i = 0; i < n; ++i)
-    if (indegree[i] == 0) frontier.push_back(static_cast<TaskId>(i));
-  std::size_t head = 0;
-  while (head < frontier.size()) {
-    const TaskId u = frontier[head++];
-    order.push_back(u);
-    for (TaskId v : children[u]) {
-      if (--indegree[v] == 0) frontier.push_back(v);
-    }
-  }
-  if (order.size() != n)
+  order.reserve(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    if (tasks[i].deps.empty()) order.push_back(static_cast<TaskId>(i));
+  for (std::size_t head = 0; head < order.size(); ++head)
+    countdown.finish(0, order[head], [&](TaskId d) { order.push_back(d); });
+  if (order.size() != tasks.size())
     throw std::invalid_argument("Job: dependency graph has a cycle");
   return order;
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -129,6 +131,77 @@ TEST(Job, CriticalPathChainIsSum) {
 TEST(Job, CriticalPathEmptyJob) {
   wf::Job job;
   EXPECT_DOUBLE_EQ(job.critical_path(), 0.0);
+}
+
+// -------------------------------------------------------------- countdown --
+
+namespace {
+
+/// Finishes `task` of job `job` and returns the tasks it released.
+std::vector<wf::TaskId> finish(wf::Countdown& countdown, std::size_t job,
+                               wf::TaskId task, bool* last = nullptr) {
+  std::vector<wf::TaskId> ready;
+  const bool was_last = countdown.finish(
+      job, task, [&](wf::TaskId d) { ready.push_back(d); });
+  if (last != nullptr) *last = was_last;
+  return ready;
+}
+
+}  // namespace
+
+TEST(Countdown, DependentsComeOutInAscendingOrder) {
+  // Task 0's dependents are 1, 3 and 4; its finish releases the two with
+  // no other unfinished dependency, in index order.
+  wf::Job job;
+  job.tasks.resize(5);
+  job.tasks[1].deps = {0};
+  job.tasks[3].deps = {2, 0};
+  job.tasks[4].deps = {0};
+  const std::vector<wf::Job> jobs = {job};
+  wf::Countdown countdown(jobs);
+  EXPECT_EQ(finish(countdown, 0, 0), (std::vector<wf::TaskId>{1, 4}));
+  EXPECT_EQ(finish(countdown, 0, 2), (std::vector<wf::TaskId>{3}));
+}
+
+TEST(Countdown, DependencyListedTwiceCountsTwice) {
+  wf::Job job;
+  job.tasks.resize(3);
+  job.tasks[2].deps = {0, 1, 0};
+  const std::vector<wf::Job> jobs = {job};
+  wf::Countdown countdown(jobs);
+  EXPECT_TRUE(finish(countdown, 0, 1).empty());
+  // One finish of task 0 pays both of its counts, and releases 2 once.
+  EXPECT_EQ(finish(countdown, 0, 0), (std::vector<wf::TaskId>{2}));
+}
+
+TEST(Countdown, RejectsOutOfRangeAndSelfDependencies) {
+  wf::Job ok;
+  ok.tasks.resize(2);
+  for (const wf::TaskId bad : {2u, 1u}) {  // out of range, then self
+    wf::Job job;
+    job.tasks.resize(2);
+    job.tasks[1].deps = {0, bad};
+    const std::vector<wf::Job> jobs = {ok, job};
+    EXPECT_THROW(wf::Countdown{jobs}, std::invalid_argument) << bad;
+  }
+}
+
+TEST(Countdown, FinishIsLastOnlyForEachJobsLastTask) {
+  // Two jobs share the flat arrays; each one's count is its own.
+  wf::Job chain;
+  chain.tasks.resize(2);
+  chain.tasks[1].deps = {0};
+  wf::Job single;
+  single.tasks.resize(1);
+  const std::vector<wf::Job> jobs = {chain, single};
+  wf::Countdown countdown(jobs);
+  bool last = true;
+  EXPECT_EQ(finish(countdown, 0, 0, &last), (std::vector<wf::TaskId>{1}));
+  EXPECT_FALSE(last);
+  EXPECT_TRUE(finish(countdown, 1, 0, &last).empty());
+  EXPECT_TRUE(last);
+  EXPECT_TRUE(finish(countdown, 0, 1, &last).empty());
+  EXPECT_TRUE(last);
 }
 
 TEST(Workload, NormalizeSortsAndReindexes) {
