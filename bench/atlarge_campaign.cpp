@@ -90,7 +90,8 @@ int cmd_example(const std::string& domain) {
   return 0;
 }
 
-int cmd_run(const std::string& spec_path, const bench::HarnessOptions& opts) {
+int cmd_run(const char* program, const std::string& spec_path,
+            const bench::HarnessOptions& opts) {
   const auto spec = exp::load_campaign_spec(spec_path);
   const auto adapter = exp::make_adapter(spec.domain);
 
@@ -128,12 +129,12 @@ int cmd_run(const std::string& spec_path, const bench::HarnessOptions& opts) {
   std::printf("%s", exp::aggregate_table(outcome.aggregate, spec.top_k)
                         .c_str());
 
-  bench::write_text_file(out_dir + "/aggregate.json",
+  bench::write_text_file(program, out_dir + "/aggregate.json",
                          exp::aggregate_json(outcome.aggregate) + "\n");
-  bench::write_text_file(out_dir + "/metrics.json",
+  bench::write_text_file(program, out_dir + "/metrics.json",
                          plane.metrics.json() + "\n");
   if (!opts.trace.empty())
-    bench::write_text_file(opts.trace, plane.tracer.chrome_json());
+    bench::write_text_file(program, opts.trace, plane.tracer.chrome_json());
 
   std::printf("artifacts: %s/{results.jsonl, aggregate.json, "
               "metrics.json}\n",
@@ -172,7 +173,7 @@ int main(int argc, char** argv) {
           3);
       if (opts.max_trials == 0u)
         bench::usage_error(argv[0], "--max-trials must be >= 1");
-      return cmd_run(args[1], opts);
+      return cmd_run(argv[0], args[1], opts);
     }
     std::fprintf(stderr, "atlarge_campaign: unknown command '%s'\n",
                  command.c_str());

@@ -28,17 +28,6 @@ inline void note(const std::string& text) {
   std::printf("-- %s\n", text.c_str());
 }
 
-/// Writes `text` to `path`, exiting with a message on I/O failure.
-inline void write_text_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr || std::fwrite(text.data(), 1, text.size(), f) !=
-                          text.size() ||
-      std::fclose(f) != 0) {
-    std::fprintf(stderr, "failed to write %s\n", path.c_str());
-    std::exit(1);
-  }
-}
-
 /// Every flag a harness can take. An empty string or an unset number
 /// means the flag was absent, and the harness applies its own default.
 struct HarnessOptions {
@@ -104,6 +93,17 @@ constexpr Mode kReplay{kWorkload,
   std::fprintf(stderr, "%s: %s\n", slash ? slash + 1 : program,
                message.c_str());
   std::exit(status);
+}
+
+/// Writes `text` to `path`; an I/O failure ends `program` through fail()
+/// with status 1.
+inline void write_text_file(const char* program, const std::string& path,
+                            const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr || std::fwrite(text.data(), 1, text.size(), f) !=
+                          text.size() ||
+      std::fclose(f) != 0)
+    fail(program, "failed to write " + path, 1);
 }
 
 /// A bad command line: fail() with status 2.

@@ -14,7 +14,7 @@
 #include "atlarge/mmog/workload.hpp"
 #include "atlarge/mmog/zonesim.hpp"
 #include "atlarge/trace/catalog.hpp"
-#include "bench_util.hpp"
+#include "workload_mode.hpp"
 
 using namespace atlarge;
 
@@ -49,15 +49,11 @@ void print_zone_summary(const mmog::ZoneSimResult& result) {
 /// ecosystem. The summary on stdout is byte-identical across
 /// --shards/--threads layouts — the shard-smoke CI job diffs an
 /// 8-shard run against the unsharded golden run.
-bool sharded_replay_mode(const bench::HarnessOptions& opts) {
+bool sharded_replay_mode(const char* program,
+                         const bench::HarnessOptions& opts) {
   const std::string& name = opts.sharded_replay;
   if (name.empty()) return false;
-  const trace::catalog::Scenario* scenario =
-      trace::catalog::find(name.c_str());
-  if (scenario == nullptr) {
-    std::fprintf(stderr, "unknown scenario '%s'\n", name.c_str());
-    std::exit(2);
-  }
+  const auto& scenario = bench::find_scenario(program, name);
 
   mmog::ZoneSimConfig config;
   config.zones = 16;
@@ -67,7 +63,7 @@ bool sharded_replay_mode(const bench::HarnessOptions& opts) {
   config.shard.threads = opts.threads.value_or(1);
 
   const auto events = trace::catalog::events(
-      *scenario, opts.seed.value_or(9),
+      scenario, opts.seed.value_or(9),
       static_cast<std::size_t>(opts.max_events.value_or(8'000)));
   std::vector<mmog::ZoneArrival> arrivals;
   for (const auto& e : events) {
@@ -231,7 +227,7 @@ int main(int argc, char** argv) {
       {{bench::kShardedReplay, bench::kShards | bench::kThreads |
                                    bench::kSeed | bench::kMaxEvents},
        {0, bench::kShards | bench::kThreads}});
-  if (sharded_replay_mode(opts)) return 0;
+  if (sharded_replay_mode(argv[0], opts)) return 0;
   bench::header("Table 6 / Section 6.2: MMOG studies");
   study_dynamics();
   study_provisioning();

@@ -161,7 +161,8 @@ void study_faults(double rate, std::uint64_t seed) {
 /// attached and exports whatever was asked for (bench::export_plane): the
 /// continuous sim-time series is sampled every 60 s, and the flight
 /// recorder keeps the causal snapshot.
-void instrumented_run(const bench::HarnessOptions& opts) {
+void instrumented_run(const char* program,
+                      const bench::HarnessOptions& opts) {
   bench::header("Instrumented run "
                 "(--trace/--metrics-out/--timeseries-out/--flight-out)");
   const auto registry = serverless::uniform_registry(4, 0.2, 1.5);
@@ -188,7 +189,7 @@ void instrumented_run(const bench::HarnessOptions& opts) {
   std::printf("%zu invocations, %.1f%% cold\n", r.invocations.size(),
               100.0 * r.cold_fraction);
 
-  bench::export_plane(opts, plane, &series, &flight);
+  bench::export_plane(program, opts, plane, &series, &flight);
   bench::note("metrics: " + plane.metrics.json());
 }
 
@@ -208,6 +209,6 @@ int main(int argc, char** argv) {
   study_orchestration();
   const double fault_rate = opts.faults.value_or(0.0);
   if (fault_rate > 0.0) study_faults(fault_rate, opts.fault_seed.value_or(1));
-  if (opts.wants_export()) instrumented_run(opts);
+  if (opts.wants_export()) instrumented_run(argv[0], opts);
   return 0;
 }

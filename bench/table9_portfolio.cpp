@@ -143,7 +143,8 @@ void misselection() {
 /// Re-runs one representative portfolio experiment with the observability
 /// plane attached and exports whatever was asked for (bench::export_plane);
 /// the continuous sim-time series is sampled every 10 s.
-void instrumented_run(const bench::HarnessOptions& opts) {
+void instrumented_run(const char* program,
+                      const bench::HarnessOptions& opts) {
   bench::header("Instrumented run (--trace/--metrics-out/--timeseries-out)");
   const auto env = cluster::make_homogeneous_cluster("CL", 4, 8);
   const auto wl = make_workload(workflow::WorkloadClass::kScientific, 42);
@@ -166,7 +167,7 @@ void instrumented_run(const bench::HarnessOptions& opts) {
   std::printf("slowdown %.2f over %zu jobs\n", r.mean_slowdown,
               r.jobs.size());
 
-  bench::export_plane(opts, plane, &series);
+  bench::export_plane(program, opts, plane, &series);
   bench::note("metrics: " + plane.metrics.json());
 }
 
@@ -180,6 +181,6 @@ int main(int argc, char** argv) {
   table9();
   online_cost_arc();
   misselection();
-  if (opts.wants_export()) instrumented_run(opts);
+  if (opts.wants_export()) instrumented_run(argv[0], opts);
   return 0;
 }

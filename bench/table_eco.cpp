@@ -148,7 +148,8 @@ void study_composition() {
 /// Re-runs the composed ecosystem with the observability plane attached
 /// and exports the span timeline (--trace) / metrics registry
 /// (--metrics-out) — the eco.* counters mirror the fabric ledger.
-void instrumented_run(const bench::HarnessOptions& opts) {
+void instrumented_run(const char* program,
+                      const bench::HarnessOptions& opts) {
   bench::header("Instrumented run (--trace/--metrics-out)");
   obs::Observability plane;
   eco::EcosystemSpec spec = bound_spec();
@@ -158,7 +159,7 @@ void instrumented_run(const bench::HarnessOptions& opts) {
               result.faas.p95_latency,
               static_cast<unsigned long long>(result.fabric.machine_leases),
               static_cast<unsigned long long>(result.fabric.capacity_updates));
-  bench::export_plane(opts, plane);
+  bench::export_plane(program, opts, plane);
 }
 
 }  // namespace
@@ -174,6 +175,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   study_composition();
-  if (opts.wants_export()) instrumented_run(opts);
+  if (opts.wants_export()) instrumented_run(argv[0], opts);
   return 0;
 }

@@ -1,6 +1,7 @@
 #pragma once
 // The two output paths the harnesses share: the `--workload` replay
-// driver and the export of an instrumented run's telemetry plane.
+// driver and the export of an instrumented run's telemetry plane, plus
+// the catalog lookup behind `--workload` and table6's `--sharded-replay`.
 //
 // Every simulation harness (table5/table7/table9/sec67/table_eco) doubles
 // as a trace-replay driver: pass `--workload=<scenario>` to run a named
@@ -25,6 +26,20 @@
 
 namespace atlarge::bench {
 
+/// The catalog scenario named `name`. An unknown name is a usage error
+/// (status 2) whose line lists the catalog.
+inline const trace::catalog::Scenario& find_scenario(const char* program,
+                                                     const std::string& name) {
+  const trace::catalog::Scenario* scenario =
+      trace::catalog::find(name.c_str());
+  if (scenario == nullptr) {
+    std::string names;
+    for (const auto& s : trace::catalog::scenarios()) names += " " + s.name;
+    usage_error(program, "unknown scenario '" + name + "'; catalog:" + names);
+  }
+  return *scenario;
+}
+
 /// Runs replay mode if `--workload` was passed. Returns true when it ran
 /// (the caller should exit 0) and false when the harness should print its
 /// normal tables. An unknown scenario is a usage error (status 2), and a
@@ -37,34 +52,28 @@ inline bool workload_mode(const char* program, const HarnessOptions& opts,
 
   const bool is_file = workload.size() > 4 &&
                        workload.compare(workload.size() - 4, 4, ".atl") == 0;
-  const trace::catalog::Scenario* scenario =
-      trace::catalog::find(is_file ? default_scenario : workload.c_str());
-  if (scenario == nullptr) {
-    std::string names;
-    for (const auto& s : trace::catalog::scenarios()) names += " " + s.name;
-    usage_error(program,
-                "unknown scenario '" + workload + "'; catalog:" + names);
-  }
+  const trace::catalog::Scenario& scenario =
+      find_scenario(program, is_file ? default_scenario : workload);
 
   obs::Registry registry;
   trace::catalog::ReplayOptions options;
   options.max_events = static_cast<std::size_t>(opts.max_events.value_or(0));
   options.obs = &registry;
-  const std::uint64_t seed = opts.seed.value_or(scenario->default_seed);
+  const std::uint64_t seed = opts.seed.value_or(scenario.default_seed);
 
   trace::catalog::ReplaySummary summary;
   const std::string& out = opts.workload_out;
   try {
     if (is_file) {
-      summary = trace::catalog::replay_file(*scenario, workload, options);
+      summary = trace::catalog::replay_file(scenario, workload, options);
     } else if (!out.empty()) {
-      const auto written = trace::catalog::write_trace(*scenario, out, seed,
+      const auto written = trace::catalog::write_trace(scenario, out, seed,
                                                        options.max_events);
       std::fprintf(stderr, "wrote %llu events to %s\n",
                    static_cast<unsigned long long>(written), out.c_str());
-      summary = trace::catalog::replay_file(*scenario, out, options);
+      summary = trace::catalog::replay_file(scenario, out, options);
     } else {
-      summary = trace::catalog::replay_generated(*scenario, seed, options);
+      summary = trace::catalog::replay_generated(scenario, seed, options);
     }
   } catch (const std::exception& error) {
     fail(program, error.what(), 1);
@@ -73,7 +82,7 @@ inline bool workload_mode(const char* program, const HarnessOptions& opts,
   std::fputs(summary.text().c_str(), stdout);
 
   if (!opts.metrics_out.empty())
-    write_text_file(opts.metrics_out, registry.json());
+    write_text_file(program, opts.metrics_out, registry.json());
   return true;
 }
 
@@ -83,28 +92,29 @@ inline bool workload_mode(const char* program, const HarnessOptions& opts,
 /// for a .csv path and JSON otherwise (--timeseries-out), and `flight`'s
 /// causal snapshot as a Chrome trace (--flight-out). A harness that
 /// honours --timeseries-out or --flight-out passes the series or recorder.
-inline void export_plane(const HarnessOptions& opts,
+/// A file that cannot be written ends `program` with status 1.
+inline void export_plane(const char* program, const HarnessOptions& opts,
                          const obs::Observability& plane,
                          const obs::TimeSeries* series = nullptr,
                          const obs::FlightRecorder* flight = nullptr) {
   if (!opts.trace.empty()) {
-    write_text_file(opts.trace, plane.tracer.chrome_json());
+    write_text_file(program, opts.trace, plane.tracer.chrome_json());
     note("trace: " + std::to_string(plane.tracer.size()) + " records -> " +
          opts.trace);
   }
   if (!opts.metrics_out.empty()) {
-    write_text_file(opts.metrics_out, plane.metrics.json());
+    write_text_file(program, opts.metrics_out, plane.metrics.json());
     note("metrics -> " + opts.metrics_out);
   }
   const std::string& path = opts.timeseries_out;
   if (!path.empty()) {
-    write_text_file(path, path.ends_with(".csv") ? series->csv()
-                                                 : series->json());
+    write_text_file(program, path,
+                    path.ends_with(".csv") ? series->csv() : series->json());
     note("timeseries: " + std::to_string(series->size()) + " rows -> " +
          path);
   }
   if (!opts.flight_out.empty()) {
-    write_text_file(opts.flight_out, flight->chrome_json());
+    write_text_file(program, opts.flight_out, flight->chrome_json());
     note("flight: " + std::to_string(flight->recorded()) + " records over " +
          std::to_string(flight->entities()) + " entities -> " +
          opts.flight_out);
