@@ -6,11 +6,12 @@
 #include "atlarge/fault/fault.hpp"
 #include "atlarge/obs/observability.hpp"
 #include "atlarge/stats/descriptive.hpp"
+#include "fluid.hpp"
 
 namespace atlarge::p2p {
 namespace {
 
-constexpr double kMbPerMbpsSecond = 1.0 / 8.0;  // Mbps * s -> MB
+using detail::kMbPerMbpsSecond;
 
 enum class PeerPhase : std::uint8_t { kLeeching, kSeeding, kGone };
 
@@ -99,9 +100,13 @@ SwarmResult simulate_swarm(const SwarmConfig& config,
     // Census.
     std::uint32_t leechers = 0;
     std::uint32_t peer_seeds = 0;
+    double progress = 0.0;
     for (std::size_t i = 0; i < next_arrival; ++i) {
       switch (state[i].phase) {
-        case PeerPhase::kLeeching: ++leechers; break;
+        case PeerPhase::kLeeching:
+          ++leechers;
+          progress += state[i].downloaded_mb / config.content_mb;
+          break;
         case PeerPhase::kSeeding: ++peer_seeds; break;
         case PeerPhase::kGone: break;
       }
@@ -111,30 +116,8 @@ SwarmResult simulate_swarm(const SwarmConfig& config,
     const std::uint32_t swarm = leechers + seeds;
     result.peak_swarm_size = std::max(result.peak_swarm_size, swarm);
 
-    double per_leecher_mbps = 0.0;
-    if (leechers > 0) {
-      // Piece availability: young swarms (few seeds relative to leechers)
-      // cannot use all leecher upload because rare pieces bottleneck
-      // exchange. availability -> 1 as seeds or progress grow.
-      double mean_progress = 0.0;
-      for (std::size_t i = 0; i < next_arrival; ++i) {
-        if (state[i].phase == PeerPhase::kLeeching)
-          mean_progress += state[i].downloaded_mb / config.content_mb;
-      }
-      mean_progress /= leechers;
-      const double availability = std::min(
-          1.0, (static_cast<double>(seeds) + mean_progress * leechers) /
-                   leechers);
-
-      const double upload_total =
-          static_cast<double>(config.initial_seeds) * config.seed_upload_mbps +
-          static_cast<double>(peer_seeds) * config.peer_upload_mbps +
-          static_cast<double>(leechers) * config.peer_upload_mbps *
-              availability;
-      const double usable = upload_total * config.efficiency;
-      per_leecher_mbps =
-          std::min(config.peer_download_mbps, usable / leechers);
-    }
+    const double per_leecher_mbps =
+        detail::fluid_rate(config, leechers, peer_seeds, progress, 0.0);
 
     result.series.push_back(
         SwarmSample{now, seeds, leechers, per_leecher_mbps});

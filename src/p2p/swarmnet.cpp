@@ -10,11 +10,12 @@
 #include "atlarge/fault/injector.hpp"
 #include "atlarge/obs/observability.hpp"
 #include "atlarge/stats/rng.hpp"
+#include "fluid.hpp"
 
 namespace atlarge::p2p {
 namespace {
 
-constexpr double kMbPerMbpsSecond = 1.0 / 8.0;  // Mbps * s -> MB
+using detail::kMbPerMbpsSecond;
 constexpr std::uint64_t kPeerMix = 0x9e3779b97f4a7c15ULL;
 constexpr std::uint64_t kSpikeMix = 0xc2b2ae3d27d4eb4fULL;
 
@@ -103,12 +104,12 @@ struct Engine {
     // is invisible this epoch no matter the tied-event execution order.
     std::uint32_t leechers = 0;
     std::uint32_t peer_seeds = 0;
-    double mean_progress = 0.0;
+    double progress = 0.0;
     for (const Peer& p : sw.peers) {
       if (p.arrival >= now) continue;
       if (p.phase == Phase::kLeeching) {
         ++leechers;
-        mean_progress += p.downloaded_mb / config->content_mb;
+        progress += p.downloaded_mb / config->content_mb;
       } else {
         ++peer_seeds;
       }
@@ -127,23 +128,8 @@ struct Engine {
                     });
     }
 
-    double per_leecher_mbps = 0.0;
-    if (leechers > 0) {
-      mean_progress /= leechers;
-      const double availability = std::min(
-          1.0, (static_cast<double>(seeds) + mean_progress * leechers) /
-                   leechers);
-      const double upload_total =
-          static_cast<double>(config->initial_seeds) *
-              config->seed_upload_mbps +
-          static_cast<double>(peer_seeds) * config->peer_upload_mbps +
-          static_cast<double>(leechers) * config->peer_upload_mbps *
-              availability +
-          grant_mbps(sw, now);
-      const double usable = upload_total * config->efficiency;
-      per_leecher_mbps =
-          std::min(config->peer_download_mbps, usable / leechers);
-    }
+    const double per_leecher_mbps = detail::fluid_rate(
+        *config, leechers, peer_seeds, progress, grant_mbps(sw, now));
 
     for (std::size_t i = 0; i < sw.peers.size();) {
       Peer& p = sw.peers[i];
