@@ -8,8 +8,6 @@
 // jitter is in events/hour.
 
 #include <span>
-#include <string>
-#include <vector>
 
 namespace atlarge::autoscale {
 
@@ -33,12 +31,6 @@ struct ElasticityMetrics {
   double jitter_per_hour = 0.0;  // supply direction changes per hour
   double avg_supply = 0.0;
   double avg_demand = 0.0;
-
-  /// Metric values in declaration order, paired with names; lower is
-  /// better for every metric except avg_demand (which is workload-given
-  /// and excluded from rankings).
-  static const std::vector<std::string>& names();
-  std::vector<double> values() const;
 };
 
 /// Computes the metrics over [series.front().time, horizon]. Returns a

@@ -86,9 +86,6 @@ class FaultPlan {
   /// by time, preserving insertion order among equal times.
   void add(const FaultEvent& event);
 
-  /// Events with time in [t0, t1), in plan order.
-  std::vector<FaultEvent> events_between(double t0, double t1) const;
-
   bool operator==(const FaultPlan&) const = default;
 
  private:

@@ -59,12 +59,9 @@ class SocialGraph {
   void add_edge(PlayerId a, PlayerId b, double weight = 1.0);
   double edge_weight(PlayerId a, PlayerId b) const;
 
-  std::vector<double> degrees() const;  // unweighted degree per player
   /// Global clustering coefficient (transitivity) over the unweighted
   /// graph.
   double clustering_coefficient() const;
-  /// Connected-component sizes, descending.
-  std::vector<std::size_t> component_sizes() const;
   /// Fraction of edge weight internal to the given community labeling —
   /// how well the implicit network recovers latent communities.
   double community_cohesion(const std::vector<std::uint32_t>& labels) const;

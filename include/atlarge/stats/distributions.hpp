@@ -12,14 +12,12 @@
 
 namespace atlarge::stats {
 
-/// Zipf distribution over ranks {1, ..., n} with exponent s > 0.
-/// Used for content popularity (P2P swarms, MMOG zones, FaaS functions).
+/// Zipf distribution over ranks {1, ..., n} with exponent s > 0: the
+/// content popularity of the P2P ecosystem. (The workload plane samples
+/// Zipf ranks with trace::gen::ZipfSampler.)
 class Zipf {
  public:
   Zipf(std::size_t n, double s);
-
-  /// Draws a rank in [1, n].
-  std::size_t operator()(Rng& rng) const;
 
   /// Probability mass of the given rank (1-based).
   double pmf(std::size_t rank) const;

@@ -5,22 +5,6 @@
 
 namespace atlarge::autoscale {
 
-const std::vector<std::string>& ElasticityMetrics::names() {
-  static const std::vector<std::string> kNames = {
-      "accuracy_over",      "accuracy_under",      "norm_accuracy_over",
-      "norm_accuracy_under", "timeshare_over",     "timeshare_under",
-      "instability",        "jitter_per_hour",     "avg_supply",
-      "avg_demand"};
-  return kNames;
-}
-
-std::vector<double> ElasticityMetrics::values() const {
-  return {accuracy_over,      accuracy_under,      norm_accuracy_over,
-          norm_accuracy_under, timeshare_over,     timeshare_under,
-          instability,        jitter_per_hour,     avg_supply,
-          avg_demand};
-}
-
 ElasticityMetrics compute_metrics(std::span<const SupplyDemandPoint> series,
                                   double horizon) {
   ElasticityMetrics m;

@@ -96,15 +96,6 @@ void FaultPlan::add(const FaultEvent& event) {
   events_.insert(pos, event);
 }
 
-std::vector<FaultEvent> FaultPlan::events_between(double t0, double t1) const {
-  std::vector<FaultEvent> out;
-  for (const FaultEvent& e : events_) {
-    if (e.time >= t1) break;
-    if (e.time >= t0) out.push_back(e);
-  }
-  return out;
-}
-
 double RetryPolicy::backoff_delay(std::uint32_t retry_index) const noexcept {
   if (retry_index == 0) return 0.0;
   double delay = backoff_base;

@@ -102,14 +102,6 @@ double SocialGraph::edge_weight(PlayerId a, PlayerId b) const {
   return 0.0;
 }
 
-std::vector<double> SocialGraph::degrees() const {
-  std::vector<double> out;
-  out.reserve(adjacency_.size());
-  for (const auto& adj : adjacency_)
-    out.push_back(static_cast<double>(adj.size()));
-  return out;
-}
-
 double SocialGraph::clustering_coefficient() const {
   // Transitivity: 3 * triangles / open+closed triplets.
   std::size_t closed = 0;
@@ -128,33 +120,6 @@ double SocialGraph::clustering_coefficient() const {
   return triplets == 0 ? 0.0
                        : static_cast<double>(closed) /
                              static_cast<double>(triplets);
-}
-
-std::vector<std::size_t> SocialGraph::component_sizes() const {
-  // Union-find.
-  std::vector<std::size_t> parent(adjacency_.size());
-  std::iota(parent.begin(), parent.end(), 0);
-  const auto find = [&](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (PlayerId u = 0; u < adjacency_.size(); ++u) {
-    for (const auto& [v, w] : adjacency_[u]) {
-      const auto ru = find(u);
-      const auto rv = find(v);
-      if (ru != rv) parent[ru] = rv;
-    }
-  }
-  std::vector<std::size_t> count(adjacency_.size(), 0);
-  for (std::size_t u = 0; u < adjacency_.size(); ++u) ++count[find(u)];
-  std::vector<std::size_t> sizes;
-  for (std::size_t c : count)
-    if (c > 0) sizes.push_back(c);
-  std::sort(sizes.rbegin(), sizes.rend());
-  return sizes;
 }
 
 double SocialGraph::community_cohesion(

@@ -1,6 +1,5 @@
 #include "atlarge/stats/distributions.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -17,12 +16,6 @@ Zipf::Zipf(std::size_t n, double s) {
   }
   for (auto& c : cdf_) c /= total;
   cdf_.back() = 1.0;  // guard against rounding drift
-}
-
-std::size_t Zipf::operator()(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin()) + 1;
 }
 
 double Zipf::pmf(std::size_t rank) const {

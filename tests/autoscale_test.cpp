@@ -188,11 +188,6 @@ TEST(Metrics, EmptySeriesYieldsZeros) {
   EXPECT_DOUBLE_EQ(m.avg_demand, 0.0);
 }
 
-TEST(Metrics, NamesMatchValuesArity) {
-  as::ElasticityMetrics m;
-  EXPECT_EQ(as::ElasticityMetrics::names().size(), m.values().size());
-}
-
 // ------------------------------------------------------------ elastic sim --
 
 TEST(ElasticSim, AllJobsComplete) {

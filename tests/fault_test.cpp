@@ -137,18 +137,6 @@ TEST(FaultPlan, AddKeepsEventsSorted) {
   EXPECT_EQ(plan.events()[3].time, 30.0);
 }
 
-TEST(FaultPlan, EventsBetweenIsHalfOpen) {
-  FaultPlan plan;
-  plan.add({10.0, FaultKind::kMachineCrash, 0, 1.0, 0.5});
-  plan.add({20.0, FaultKind::kMachineCrash, 1, 1.0, 0.5});
-  plan.add({30.0, FaultKind::kMachineCrash, 2, 1.0, 0.5});
-  const auto window = plan.events_between(10.0, 30.0);
-  ASSERT_EQ(window.size(), 2u);
-  EXPECT_EQ(window[0].target, 0u);
-  EXPECT_EQ(window[1].target, 1u);
-  EXPECT_TRUE(plan.events_between(31.0, 40.0).empty());
-}
-
 TEST(RetryPolicy, DefaultsAreNoOp) {
   const fault::RetryPolicy policy;
   EXPECT_EQ(policy.max_attempts, 1u);

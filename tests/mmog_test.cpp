@@ -282,19 +282,6 @@ TEST(Analytics, CommunityStructureRecovered) {
   EXPECT_GT(graph.community_cohesion(log.community), 0.6);
 }
 
-TEST(Analytics, ComponentSizesSumToPlayers) {
-  const auto log = mmog::generate_match_log(log_config());
-  const auto graph =
-      mmog::SocialGraph::from_matches(log.config.players, log.matches);
-  const auto sizes = graph.component_sizes();
-  std::size_t total = 0;
-  for (std::size_t s : sizes) total += s;
-  EXPECT_EQ(total, log.config.players);
-  // Descending order.
-  for (std::size_t i = 1; i < sizes.size(); ++i)
-    EXPECT_LE(sizes[i], sizes[i - 1]);
-}
-
 TEST(Analytics, SkillMatchmakingFairerThanRandom) {
   const auto log = mmog::generate_match_log(log_config());
   const double random_gap = mmog::matchmaking_skill_gap(log, false, 2'000, 9);
