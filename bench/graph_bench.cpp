@@ -1,10 +1,6 @@
 // Graphalytics kernel benchmarks: serial vs parallel timings for every
 // kernel on three dataset families (social = preferential attachment,
-// random = Erdos-Renyi, grid = 2D lattice), plus "legacy" baselines that
-// reproduce the pre-CSR-rewrite implementations (per-call vector<vector>
-// undirected adjacency, unordered_map label voting, binary-search triangle
-// counting, comparison-sort CSR build) so the speedup of the rewrite is
-// measurable inside one JSON snapshot.
+// random = Erdos-Renyi, grid = 2D lattice), plus the CSR build.
 //
 //   graph_bench --json[=path]   # emit google-benchmark JSON (BENCH_graph.json)
 //   graph_bench --tiny          # shrink datasets for CI smoke runs
@@ -12,9 +8,7 @@
 // Benchmark arguments: {dataset, threads} where dataset is
 // 0=social, 1=random, 2=grid.
 
-#include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -131,81 +125,7 @@ void BM_Sssp(benchmark::State& state) {
   set_work(state, r.work);
 }
 
-// ---- Legacy baselines (pre-rewrite implementations, serial only) ----
-
-// CDLP as it was before the rewrite: unordered_map vote counting over
-// out+in neighborhoods, no shared undirected view.
-std::vector<graph::VertexId> cdlp_legacy(const graph::Graph& g,
-                                         std::uint32_t iterations) {
-  const std::size_t n = g.num_vertices();
-  std::vector<graph::VertexId> label(n), next(n);
-  for (graph::VertexId v = 0; v < n; ++v) label[v] = v;
-  std::unordered_map<graph::VertexId, std::uint32_t> votes;
-  for (std::uint32_t it = 0; it < iterations; ++it) {
-    for (graph::VertexId v = 0; v < n; ++v) {
-      votes.clear();
-      for (graph::VertexId u : g.out(v)) ++votes[label[u]];
-      for (graph::VertexId u : g.in(v)) ++votes[label[u]];
-      if (votes.empty()) {
-        next[v] = label[v];
-        continue;
-      }
-      graph::VertexId best = label[v];
-      std::uint32_t best_count = 0;
-      for (const auto& [candidate, count] : votes) {
-        if (count > best_count ||
-            (count == best_count && candidate < best)) {
-          best = candidate;
-          best_count = count;
-        }
-      }
-      next[v] = best;
-    }
-    label.swap(next);
-  }
-  return label;
-}
-
-// LCC as it was before the rewrite: materialize vector<vector> undirected
-// adjacency per call, binary-search each neighbor pair.
-double lcc_legacy(const graph::Graph& g) {
-  const auto adj = g.undirected_adjacency();
-  const std::size_t n = adj.size();
-  double total = 0.0;
-  for (graph::VertexId v = 0; v < n; ++v) {
-    const auto& neighbors = adj[v];
-    const std::size_t d = neighbors.size();
-    if (d < 2) continue;
-    std::size_t closed = 0;
-    for (std::size_t i = 0; i < d; ++i) {
-      for (std::size_t j = i + 1; j < d; ++j) {
-        const auto& a = adj[neighbors[i]];
-        if (std::binary_search(a.begin(), a.end(), neighbors[j])) ++closed;
-      }
-    }
-    total += 2.0 * static_cast<double>(closed) /
-             (static_cast<double>(d) * static_cast<double>(d - 1));
-  }
-  return n > 0 ? total / static_cast<double>(n) : 0.0;
-}
-
-void BM_CdlpLegacy(benchmark::State& state) {
-  const auto& g = dataset(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    auto label = cdlp_legacy(g, 5);
-    benchmark::DoNotOptimize(label.data());
-  }
-}
-
-void BM_LccLegacy(benchmark::State& state) {
-  const auto& g = dataset(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    double mean = lcc_legacy(g);
-    benchmark::DoNotOptimize(mean);
-  }
-}
-
-// ---- CSR construction: counting sort (current) vs comparison sort ----
+// ---- CSR construction ----
 
 void BM_FromEdges(benchmark::State& state) {
   const auto& g = dataset(static_cast<int>(state.range(0)));
@@ -215,26 +135,6 @@ void BM_FromEdges(benchmark::State& state) {
     auto copy = edges;
     auto built = graph::Graph::from_edges(n, std::move(copy));
     benchmark::DoNotOptimize(built.num_edges());
-  }
-}
-
-// The pre-rewrite build strategy: comparison-sort the edge list, then a
-// linear dedup/fill pass (out-CSR only; in/undirected views not priced to
-// keep the comparison conservative).
-void BM_FromEdgesLegacy(benchmark::State& state) {
-  const auto& g = dataset(static_cast<int>(state.range(0)));
-  const auto edges = g.edge_list();
-  const std::size_t n = g.num_vertices();
-  for (auto _ : state) {
-    auto copy = edges;
-    std::sort(copy.begin(), copy.end());
-    copy.erase(std::unique(copy.begin(), copy.end()), copy.end());
-    std::vector<std::uint64_t> offsets(n + 1, 0);
-    std::vector<graph::VertexId> heads(copy.size());
-    for (const auto& e : copy) ++offsets[e.first + 1];
-    for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-    for (std::size_t i = 0; i < copy.size(); ++i) heads[i] = copy[i].second;
-    benchmark::DoNotOptimize(heads.data());
   }
 }
 
@@ -251,16 +151,9 @@ void register_benchmarks() {
     for (int dataset_idx : {0, 1, 2})
       for (int threads : {1, 8}) b->Args({dataset_idx, threads});
   }
-  for (const auto& [name, fn] :
-       std::vector<std::pair<const char*, void (*)(benchmark::State&)>>{
-           {"BM_CdlpLegacy", BM_CdlpLegacy},
-           {"BM_LccLegacy", BM_LccLegacy},
-           {"BM_FromEdges", BM_FromEdges},
-           {"BM_FromEdgesLegacy", BM_FromEdgesLegacy}}) {
-    auto* b = benchmark::RegisterBenchmark(name, fn);
-    b->ArgNames({"dataset"});
-    for (int dataset_idx : {0, 1, 2}) b->Args({dataset_idx});
-  }
+  auto* b = benchmark::RegisterBenchmark("BM_FromEdges", BM_FromEdges);
+  b->ArgNames({"dataset"});
+  for (int dataset_idx : {0, 1, 2}) b->Args({dataset_idx});
 }
 
 }  // namespace
