@@ -10,8 +10,7 @@
 //  * out-CSR  — out-neighbors per vertex, sorted by target;
 //  * in-CSR   — in-neighbors per vertex, sorted by source;
 //  * und-CSR  — distinct undirected neighbors per vertex, sorted — the
-//    merged view WCC/CDLP/LCC operate on, replacing the per-call
-//    vector<vector> the old undirected_adjacency() materialized.
+//    merged view WCC/CDLP/LCC operate on through neighbors().
 // The build is counting-sort based (two stable counting passes over the
 // edge list instead of a comparison sort), so construction is O(n + m).
 
@@ -97,10 +96,6 @@ class Graph {
   CsrView und_csr() const noexcept {
     return {und_offsets_.data(), und_heads_.data()};
   }
-
-  /// The undirected view as an adjacency-list copy (kept for callers that
-  /// want owning vectors; the kernels use neighbors() directly).
-  std::vector<std::vector<VertexId>> undirected_adjacency() const;
 
   bool weighted() const noexcept { return !weights_.empty(); }
 

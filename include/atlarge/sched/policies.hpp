@@ -58,7 +58,10 @@ class WideFirstPolicy final : public Policy {
 /// Uniformly random order; Altshuller's "performance vs random design"
 /// baseline (paper, challenge C2). Each order() call draws a fresh
 /// shuffle of the queue in arrival order (TaskRef::seq), so the result
-/// does not depend on the order the previous pass left.
+/// does not depend on the order the previous pass left. The instance
+/// keeps that arrival order and its last shuffle, so with
+/// SchedState::ordered set a call drops the placed tasks and appends the
+/// new tail instead of re-sorting the queue; clones start empty.
 class RandomPolicy final : public Policy {
  public:
   explicit RandomPolicy(std::uint64_t seed = 42) : rng_(seed), seed_(seed) {}
@@ -67,13 +70,23 @@ class RandomPolicy final : public Policy {
   std::unique_ptr<Policy> clone() const override;
 
  private:
+  /// Brings arrivals_ up to date with q incrementally; false when the
+  /// first `ordered` entries of q are not the last output minus the
+  /// tasks placed since.
+  bool follow(const std::vector<TaskRef>& q, std::size_t ordered);
+
   atlarge::stats::Rng rng_;
   std::uint64_t seed_;
+  std::vector<TaskRef> arrivals_;     // the queue in arrival order
+  std::vector<std::size_t> shuffle_;  // last output was arrivals_[shuffle_[k]]
+  std::vector<std::size_t> gone_;     // scratch: arrival ranks placed since
 };
 
 /// Fair-share: tasks of the least-served user first, by the core-seconds
 /// SchedState::user_usage holds at their TaskRef::user id (an id past its
-/// end has used none), then FCFS. Each lookup is one array index.
+/// end has used none), then FCFS. Each lookup is one array index. Usage
+/// moves between calls, so SchedState::ordered is trusted only while
+/// user_usage holds at most one user.
 class FairSharePolicy final : public Policy {
  public:
   std::string name() const override { return "FAIR"; }

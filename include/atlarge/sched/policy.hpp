@@ -59,6 +59,11 @@ struct SchedState {
   /// Work (core-seconds) completed so far, indexed by TaskRef::user; an
   /// id past the end has completed none. Used by fair-share.
   std::span<const double> user_usage;
+  /// How many leading queue entries are exactly what the previous order()
+  /// call returned, minus the tasks placed since; the entries after them
+  /// were appended since, in rising TaskRef::seq. 0 means unknown, as in
+  /// hand-built states. The simulator fills it (DESIGN.md §5).
+  std::size_t ordered = 0;
 };
 
 /// Base class for scheduling policies. Implementations must be
@@ -75,8 +80,9 @@ class Policy {
   /// cannot place anything. The queue is persistent: it arrives in the
   /// order the previous call left it (in a portfolio, possibly another
   /// policy's order), minus the tasks placed since, plus newly eligible
-  /// tasks appended at the back. Must be a permutation (no adds/removes);
-  /// the simulator throws std::logic_error otherwise.
+  /// tasks appended at the back; state.ordered says where that tail
+  /// starts, when known. Must be a permutation (no adds/removes); the
+  /// simulator throws std::logic_error otherwise.
   virtual void order(std::vector<TaskRef>& queue, const SchedState& state) = 0;
 
   /// When true, the simulator applies EASY backfilling: the head task

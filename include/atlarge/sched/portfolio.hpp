@@ -17,6 +17,7 @@
 //    `utility_noise` knob reproduces that study.
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -116,6 +117,8 @@ class PortfolioScheduler final : public Policy {
   std::unique_ptr<sim::ThreadPool> pool_;  // lazily built when needed
 
   std::size_t current_ = 0;
+  // The member whose order() ran last (none yet: the maximum).
+  std::size_t last_ordered_ = std::numeric_limits<std::size_t>::max();
   std::uint64_t round_ = 0;  // selection rounds so far; salts noise streams
   double next_decision_ = 0.0;
   std::vector<double> ewma_;      // smoothed utility per policy (lower=better)

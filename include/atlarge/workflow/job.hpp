@@ -27,11 +27,12 @@ struct Task {
 /// A job: a DAG of tasks submitted at a point in simulated time.
 ///
 /// Invariants (enforced by Job::validate, called by the generators and by
-/// the simulators on ingest): every dependency index is in range, the
-/// dependency graph is acyclic, runtimes are positive and finite, the
-/// submit time is finite, cores >= 1. A dependency listed twice is an
-/// edge counted twice: the task waits for two finishes of the same task,
-/// and its dependency's one finish pays both.
+/// the simulators on ingest): the job has at least one task, every
+/// dependency index is in range, the dependency graph is acyclic, runtimes
+/// are positive and finite, the submit time is finite, cores >= 1. A
+/// dependency listed twice is an edge counted twice: the task waits for
+/// two finishes of the same task, and its dependency's one finish pays
+/// both.
 struct Job {
   std::uint64_t id = 0;
   double submit_time = 0.0;

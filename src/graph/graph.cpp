@@ -102,15 +102,6 @@ Graph Graph::from_edges(VertexId n,
   return g;
 }
 
-std::vector<std::vector<VertexId>> Graph::undirected_adjacency() const {
-  std::vector<std::vector<VertexId>> adj(n_);
-  for (VertexId v = 0; v < n_; ++v) {
-    const auto nb = neighbors(v);
-    adj[v].assign(nb.begin(), nb.end());
-  }
-  return adj;
-}
-
 std::vector<std::pair<VertexId, VertexId>> Graph::edge_list() const {
   std::vector<std::pair<VertexId, VertexId>> edges;
   edges.reserve(heads_.size());

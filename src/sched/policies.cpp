@@ -4,6 +4,8 @@
 #include <array>
 #include <numeric>
 
+#include "erase.hpp"
+
 namespace atlarge::sched {
 namespace {
 
@@ -14,14 +16,19 @@ bool by_identity(const TaskRef& a, const TaskRef& b) {
   return a.task_id < b.task_id;
 }
 
-/// Sorts `q` by `less`, keeping the work the previous pass did: the
-/// still-sorted prefix stays put, only the rest (typically the tasks
-/// appended since) is sorted, and the two runs are merged. Every zoo
-/// comparator is a strict total order over distinct (job, task) pairs, so
-/// the result is the one sorted permutation whatever order `q` arrived in.
+/// Sorts `q` by `less`, keeping the work the previous pass did: the first
+/// `ordered` entries (SchedState::ordered) are still sorted, or, when that
+/// is 0 (unknown), the prefix std::is_sorted_until finds. Only the rest
+/// (typically the tasks appended since) is sorted, and the two runs are
+/// merged. Every zoo comparator is a strict total order over distinct
+/// (job, task) pairs, so the result is the one sorted permutation whatever
+/// order `q` arrived in.
 template <class Less>
-void sort_incremental(std::vector<TaskRef>& q, Less less) {
-  const auto tail = std::is_sorted_until(q.begin(), q.end(), less);
+void sort_incremental(std::vector<TaskRef>& q, std::size_t ordered,
+                      Less less) {
+  const auto tail = ordered > 0 && ordered <= q.size()
+                        ? q.begin() + static_cast<std::ptrdiff_t>(ordered)
+                        : std::is_sorted_until(q.begin(), q.end(), less);
   if (tail == q.end()) return;
   std::sort(tail, q.end(), less);
   std::inplace_merge(q.begin(), tail, q.end(), less);
@@ -31,10 +38,8 @@ void sort_incremental(std::vector<TaskRef>& q, Less less) {
 
 std::vector<std::size_t> arrival_order(const std::vector<TaskRef>& queue) {
   // Stable LSD radix sort of positions by seq - min(seq), one byte per
-  // pass up to the stamps' span: linear in the queue length. RandomPolicy
-  // calls this on every pass, on a queue its own last shuffle scrambled,
-  // where a comparison sort was its largest cost. Stability keeps equal
-  // stamps in input order.
+  // pass up to the stamps' span: linear in the queue length, on queues a
+  // shuffle scrambled. Stability keeps equal stamps in input order.
   std::vector<std::size_t> order(queue.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   if (queue.empty()) return order;
@@ -61,8 +66,8 @@ double Policy::tick(const SchedState&, const std::vector<TaskRef>&) {
   return 0.0;
 }
 
-void FcfsPolicy::order(std::vector<TaskRef>& q, const SchedState&) {
-  sort_incremental(q, [](const TaskRef& a, const TaskRef& b) {
+void FcfsPolicy::order(std::vector<TaskRef>& q, const SchedState& s) {
+  sort_incremental(q, s.ordered, [](const TaskRef& a, const TaskRef& b) {
     if (a.submit_time != b.submit_time) return a.submit_time < b.submit_time;
     if (a.eligible_time != b.eligible_time)
       return a.eligible_time < b.eligible_time;
@@ -83,8 +88,8 @@ std::unique_ptr<Policy> EasyBackfillingPolicy::clone() const {
   return std::make_unique<EasyBackfillingPolicy>();
 }
 
-void SjfPolicy::order(std::vector<TaskRef>& q, const SchedState&) {
-  sort_incremental(q, [](const TaskRef& a, const TaskRef& b) {
+void SjfPolicy::order(std::vector<TaskRef>& q, const SchedState& s) {
+  sort_incremental(q, s.ordered, [](const TaskRef& a, const TaskRef& b) {
     if (a.runtime != b.runtime) return a.runtime < b.runtime;
     return by_identity(a, b);
   });
@@ -94,8 +99,8 @@ std::unique_ptr<Policy> SjfPolicy::clone() const {
   return std::make_unique<SjfPolicy>();
 }
 
-void LjfPolicy::order(std::vector<TaskRef>& q, const SchedState&) {
-  sort_incremental(q, [](const TaskRef& a, const TaskRef& b) {
+void LjfPolicy::order(std::vector<TaskRef>& q, const SchedState& s) {
+  sort_incremental(q, s.ordered, [](const TaskRef& a, const TaskRef& b) {
     if (a.runtime != b.runtime) return a.runtime > b.runtime;
     return by_identity(a, b);
   });
@@ -105,8 +110,8 @@ std::unique_ptr<Policy> LjfPolicy::clone() const {
   return std::make_unique<LjfPolicy>();
 }
 
-void WideFirstPolicy::order(std::vector<TaskRef>& q, const SchedState&) {
-  sort_incremental(q, [](const TaskRef& a, const TaskRef& b) {
+void WideFirstPolicy::order(std::vector<TaskRef>& q, const SchedState& s) {
+  sort_incremental(q, s.ordered, [](const TaskRef& a, const TaskRef& b) {
     if (a.cores != b.cores) return a.cores > b.cores;
     if (a.runtime != b.runtime) return a.runtime > b.runtime;
     return by_identity(a, b);
@@ -117,21 +122,48 @@ std::unique_ptr<Policy> WideFirstPolicy::clone() const {
   return std::make_unique<WideFirstPolicy>();
 }
 
-void RandomPolicy::order(std::vector<TaskRef>& q, const SchedState&) {
+void RandomPolicy::order(std::vector<TaskRef>& q, const SchedState& s) {
   // The shuffle permutes the queue in arrival order, whatever order the
   // last pass left it in.
-  auto perm = arrival_order(q);
-  // Fisher-Yates with our own RNG (std::shuffle's result is
-  // implementation-defined; this keeps runs bit-reproducible).
-  for (std::size_t i = perm.size(); i > 1; --i) {
+  if (!follow(q, s.ordered)) {
+    arrivals_.clear();
+    for (const std::size_t i : arrival_order(q)) arrivals_.push_back(q[i]);
+  }
+  // Fisher-Yates over arrival ranks with our own RNG (std::shuffle's
+  // result is implementation-defined; this keeps runs bit-reproducible).
+  shuffle_.resize(q.size());
+  std::iota(shuffle_.begin(), shuffle_.end(), std::size_t{0});
+  for (std::size_t i = shuffle_.size(); i > 1; --i) {
     const auto j = static_cast<std::size_t>(
         rng_.uniform_int(0, static_cast<std::int64_t>(i) - 1));
-    std::swap(perm[i - 1], perm[j]);
+    std::swap(shuffle_[i - 1], shuffle_[j]);
   }
-  std::vector<TaskRef> shuffled;
-  shuffled.reserve(q.size());
-  for (const std::size_t i : perm) shuffled.push_back(std::move(q[i]));
-  q.swap(shuffled);
+  for (std::size_t k = 0; k < q.size(); ++k) q[k] = arrivals_[shuffle_[k]];
+}
+
+bool RandomPolicy::follow(const std::vector<TaskRef>& q,
+                          std::size_t ordered) {
+  if (ordered == 0 || ordered > q.size()) return false;
+  // Walk the last output against the queue's first `ordered` entries; the
+  // entries that find no match are the tasks placed since.
+  gone_.clear();
+  std::size_t matched = 0;
+  for (const std::size_t rank : shuffle_) {
+    const TaskRef& last = arrivals_[rank];
+    if (matched < ordered && last.job_id == q[matched].job_id &&
+        last.task_id == q[matched].task_id) {
+      ++matched;
+    } else {
+      gone_.push_back(rank);
+    }
+  }
+  if (matched != ordered) return false;
+  std::sort(gone_.begin(), gone_.end());
+  detail::erase_positions(arrivals_, gone_);
+  // The tail was appended since, in rising seq: it arrived after them all.
+  arrivals_.insert(arrivals_.end(),
+                   q.begin() + static_cast<std::ptrdiff_t>(ordered), q.end());
+  return true;
 }
 
 std::unique_ptr<Policy> RandomPolicy::clone() const {
@@ -142,7 +174,12 @@ void FairSharePolicy::order(std::vector<TaskRef>& q, const SchedState& s) {
   const auto usage_of = [&](std::uint32_t user) {
     return user < s.user_usage.size() ? s.user_usage[user] : 0.0;
   };
-  sort_incremental(q, [&](const TaskRef& a, const TaskRef& b) {
+  // Usage moves between calls, and with two users or more that can
+  // reorder the prefix the last call sorted. With one, the engine (which
+  // gives every user it queues a usage slot) queues only that user's
+  // tasks, and they share one usage.
+  const std::size_t ordered = s.user_usage.size() <= 1 ? s.ordered : 0;
+  sort_incremental(q, ordered, [&](const TaskRef& a, const TaskRef& b) {
     const double ua = usage_of(a.user);
     const double ub = usage_of(b.user);
     if (ua != ub) return ua < ub;

@@ -44,7 +44,14 @@ PortfolioScheduler::PortfolioScheduler(
 
 void PortfolioScheduler::order(std::vector<TaskRef>& queue,
                                const SchedState& state) {
-  policies_[current_]->order(queue, state);
+  // The queue's prefix is the last order() call's output: a member can
+  // build on it only if that call was its own.
+  if (current_ == last_ordered_)
+    return policies_[current_]->order(queue, state);
+  last_ordered_ = current_;
+  SchedState switched = state;
+  switched.ordered = 0;
+  policies_[current_]->order(queue, switched);
 }
 
 std::string PortfolioScheduler::current_policy() const {

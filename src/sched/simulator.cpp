@@ -13,6 +13,7 @@
 #include "atlarge/obs/observability.hpp"
 #include "atlarge/sim/simulation.hpp"
 #include "atlarge/stats/descriptive.hpp"
+#include "erase.hpp"
 
 namespace atlarge::sched {
 
@@ -291,6 +292,7 @@ class SchedEngine {
     s.running_tasks = running_.size();
     s.queued_tasks = queued;
     s.user_usage = user_usage_;
+    s.ordered = ordered_;
     return s;
   }
 
@@ -398,6 +400,7 @@ class SchedEngine {
     if (queue_.size() != queued)
       throw std::logic_error(
           "simulate: Policy::order added or removed queued tasks");
+    ordered_ = queued;
 
     // Greedy placement in policy order. A task wider than every up
     // machine's free cores cannot fit, so the scan skips it without a
@@ -433,19 +436,11 @@ class SchedEngine {
   }
 
   /// Removes this pass's placed tasks (ascending positions in placed_at_)
-  /// in one stable sweep, so the rest keep the policy's order. Each run of
-  /// survivors between two placed positions moves as one block, a memmove
-  /// since TaskRef is trivially copyable.
+  /// in one stable sweep, so the rest keep the policy's order. Every
+  /// placed position lies in the prefix order() returned.
   void drop_placed() {
-    if (placed_at_.empty()) return;
-    const auto at = [this](std::size_t i) {
-      return queue_.begin() + static_cast<std::ptrdiff_t>(i);
-    };
-    placed_at_.push_back(queue_.size());  // the last run ends the queue
-    auto out = at(placed_at_.front());
-    for (std::size_t k = 0; k + 1 < placed_at_.size(); ++k)
-      out = std::move(at(placed_at_[k] + 1), at(placed_at_[k + 1]), out);
-    queue_.erase(out, queue_.end());
+    ordered_ -= placed_at_.size();
+    erase_positions(queue_, placed_at_);
   }
 
   void place(const TaskRef& ref, std::size_t mi, double elapsed) {
@@ -576,6 +571,9 @@ class SchedEngine {
   // The eligible queue, persistent across passes in the order the policy
   // left it; newly eligible tasks are appended with the next seq stamp.
   std::vector<TaskRef> queue_;
+  // Leading queue_ entries in the order the last order() call left them,
+  // minus the tasks placed since (SchedState::ordered).
+  std::size_t ordered_ = 0;
   std::uint64_t next_seq_ = 0;
   std::vector<std::size_t> placed_at_;  // queue positions placed this pass
   std::vector<RunningTask> running_;

@@ -49,12 +49,15 @@ double Rng::uniform(double lo, double hi) noexcept {
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   if (span == 0) return static_cast<std::int64_t>((*this)());  // full range
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = max() - max() % span;
-  std::uint64_t draw;
-  do {
-    draw = (*this)();
-  } while (draw >= limit);
+  // Rejection sampling to avoid modulo bias: draws at or past
+  // max() - max() % span are redrawn. That limit is at least 2^64 - span,
+  // so it is computed (a second division) only for a draw in the top
+  // `span` values.
+  std::uint64_t draw = (*this)();
+  if (draw > max() - span) {
+    const std::uint64_t limit = max() - max() % span;
+    while (draw >= limit) draw = (*this)();
+  }
   return lo + static_cast<std::int64_t>(draw % span);
 }
 

@@ -85,6 +85,10 @@ double Job::critical_path() const {
 void Job::validate() const {
   if (!std::isfinite(submit_time))
     throw std::invalid_argument("Job: submit time must be finite");
+  // No task would ever finish an empty job: engines that wait for its
+  // last task would wait forever.
+  if (tasks.empty())
+    throw std::invalid_argument("Job: must have at least one task");
   for (const auto& t : tasks) {
     // A NaN runtime would break the strict weak ordering every
     // scheduling-policy comparator relies on.

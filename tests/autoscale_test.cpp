@@ -228,6 +228,12 @@ TEST(ElasticSim, RejectsInvalidJobs) {
   nan_runtime.jobs[0].tasks[1].runtime =
       std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(as::run_elastic(nan_runtime, react), std::invalid_argument);
+  // A job with no tasks never completes: tick() rescheduled itself forever.
+  auto empty_job = two_tasks({}, {0});
+  empty_job.jobs.push_back(wf::Job{});
+  empty_job.jobs.back().id = 1;
+  empty_job.jobs.back().submit_time = 5.0;
+  EXPECT_THROW(as::run_elastic(empty_job, react), std::invalid_argument);
 }
 
 TEST(ElasticSim, DependencyListedTwiceStillUnlocks) {

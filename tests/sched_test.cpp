@@ -145,6 +145,14 @@ TEST(Simulator, RejectsZeroCoreTask) {
   EXPECT_THROW(sched::simulate(env, wl, policy), std::invalid_argument);
 }
 
+TEST(Simulator, RejectsJobWithoutTasks) {
+  const auto env = cluster::make_homogeneous_cluster("c", 2, 4);
+  auto wl = single_task_jobs({1.0, 2.0});
+  wl.jobs[0].tasks.clear();
+  sched::FcfsPolicy policy;
+  EXPECT_THROW(sched::simulate(env, wl, policy), std::invalid_argument);
+}
+
 TEST(Simulator, RejectsDuplicateJobIds) {
   const auto env = cluster::make_homogeneous_cluster("c", 2, 4);
   auto wl = single_task_jobs({1.0, 2.0, 3.0});
@@ -392,6 +400,64 @@ TEST(Policies, RandomIsSeedDeterministic) {
   }
 }
 
+// RandomPolicy with the simulator's SchedState::ordered hint keeps its
+// arrival order up to date instead of re-sorting the queue; it must shuffle
+// exactly as a from-scratch call (hint 0) does, pass after pass.
+TEST(Policies, RandomIncrementalMatchesFromScratch) {
+  std::mt19937_64 gen(29);
+  std::vector<sched::TaskRef> queue;
+  std::uint64_t next_seq = 0;
+  const auto arrive = [&](std::uint64_t job, std::uint32_t task) {
+    sched::TaskRef ref;
+    ref.job_id = job;
+    ref.task_id = task;
+    ref.runtime = static_cast<double>(1 + gen() % 50);
+    ref.seq = next_seq++;
+    queue.push_back(ref);
+  };
+  for (std::uint64_t job = 0; job < 40; ++job) arrive(job % 13, job / 13);
+  std::uint64_t next_job = 100;
+  std::vector<sched::TaskRef> dropped;
+
+  sched::RandomPolicy incremental(5);
+  sched::RandomPolicy scratch(5);
+  std::size_t ordered = 0;
+  for (int pass = 0; pass < 80; ++pass) {
+    auto fresh = queue;
+    sched::SchedState hinted;
+    // Pass 40 forgets the hint, as after a portfolio switch; pass 60 gives
+    // a wrong one (two prefix entries swapped), which the walk must catch.
+    hinted.ordered = pass == 40 ? 0 : ordered;
+    if (pass == 60 && ordered >= 2) std::swap(queue[0], queue[1]);
+    incremental.order(queue, hinted);
+    scratch.order(fresh, sched::SchedState{});
+    ASSERT_EQ(queue.size(), fresh.size());
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      ASSERT_EQ(queue[i].job_id, fresh[i].job_id) << "pass " << pass;
+      ASSERT_EQ(queue[i].task_id, fresh[i].task_id) << "pass " << pass;
+      ASSERT_EQ(queue[i].seq, fresh[i].seq) << "pass " << pass;
+    }
+    // Place k of the first s entries (none on some passes, the whole
+    // queue on pass 30), then append new tasks in rising seq; a placed
+    // task may come back as a crash requeue, with a new stamp.
+    const std::size_t s = std::min<std::size_t>(queue.size(), 1 + gen() % 8);
+    std::size_t k = pass % 5 == 0 ? 0 : gen() % (s + 1);
+    if (pass == 30) k = queue.size();
+    for (std::size_t d = 0; d < k; ++d) {
+      const std::size_t at = pass == 30 ? 0 : gen() % (s - d);
+      dropped.push_back(queue[at]);
+      queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    ordered = queue.size();
+    for (std::uint64_t a = gen() % 4; a > 0; --a) arrive(next_job++, 0);
+    if (pass % 7 == 3 && !dropped.empty()) {
+      const sched::TaskRef back = dropped.front();
+      dropped.erase(dropped.begin());
+      arrive(back.job_id, back.task_id);
+    }
+  }
+}
+
 TEST(Policies, ArrivalOrderSortsBySeqAndKeepsTiesInInputOrder) {
   // Spans of one byte, several bytes and the full 64 bits, with repeats.
   std::mt19937_64 gen(7);
@@ -461,10 +527,50 @@ TEST(Policies, TotalOrderPoliciesIgnoreInputOrder) {
       std::rotate(appended.begin() + static_cast<std::ptrdiff_t>(i),
                   appended.begin() + static_cast<std::ptrdiff_t>(i) + 1,
                   appended.end());
-    for (auto& input : inputs) {
-      p->order(input, state);
-      EXPECT_EQ(ids(input), ids(reference)) << p->name();
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      // The incremental input says, as the simulator would, that all but
+      // its last three entries are the previous output.
+      sched::SchedState hinted = state;
+      if (k + 1 == inputs.size()) hinted.ordered = queue.size() - 3;
+      p->order(inputs[k], hinted);
+      EXPECT_EQ(ids(inputs[k]), ids(reference)) << p->name() << " input " << k;
     }
+  }
+}
+
+// FAIR's key moves with usage between calls: with two users whose usage
+// order flips, the prefix the last call sorted is no longer sorted, so
+// the SchedState::ordered hint must not change the result.
+TEST(Policies, FairShareIgnoresHintWhenUsageOrderFlips) {
+  std::vector<sched::TaskRef> queue;
+  const auto arrive = [&queue](std::uint32_t i) {
+    sched::TaskRef ref;
+    ref.job_id = i;
+    ref.user = i % 2;
+    ref.submit_time = static_cast<double>(i);
+    ref.seq = i;
+    queue.push_back(ref);
+  };
+  for (std::uint32_t i = 0; i < 12; ++i) arrive(i);
+  sched::FairSharePolicy policy;
+  std::vector<double> usage = {10.0, 1.0};  // user 1 first
+  sched::SchedState state;
+  state.user_usage = usage;
+  policy.order(queue, state);
+  ASSERT_EQ(queue.front().user, 1u);
+
+  // Two tasks arrive, and user 1 overtakes user 0's usage.
+  const std::size_t ordered = queue.size();
+  for (std::uint32_t i = 12; i < 14; ++i) arrive(i);
+  usage[0] = 1.0;
+  usage[1] = 10.0;
+  auto fresh = queue;
+  policy.order(fresh, state);
+  state.ordered = ordered;
+  policy.order(queue, state);
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    EXPECT_EQ(queue[i].job_id, fresh[i].job_id) << i;
+    EXPECT_EQ(queue[i].user, i < 7 ? 0u : 1u) << i;
   }
 }
 

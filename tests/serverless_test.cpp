@@ -372,6 +372,17 @@ TEST(WorkflowEngine, RejectsBadFunctionIndex) {
                std::invalid_argument);
 }
 
+TEST(WorkflowEngine, RejectsJobWithoutTasks) {
+  // Nothing would ever finish it: its makespan read finish 0 - submit.
+  const auto registry = sl::uniform_registry(2, 0.1, 0.5);
+  atlarge::workflow::Job empty;
+  empty.submit_time = 5.0;
+  std::vector<atlarge::workflow::Job> jobs = {
+      sl::make_chain_workflow(2, 2, 0.0), empty};
+  EXPECT_THROW(sl::run_workflows(registry, jobs, {}, {}),
+               std::invalid_argument);
+}
+
 TEST(WorkflowEngine, DependencyListedTwiceStillFinishes) {
   const auto registry = sl::uniform_registry(2, 0.1, 1.0);
   auto job = sl::make_chain_workflow(2, 2, 0.0);

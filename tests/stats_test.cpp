@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -66,6 +68,55 @@ TEST(Rng, UniformIntCoversRangeInclusive) {
 TEST(Rng, UniformIntSinglePoint) {
   stats::Rng rng(5);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.uniform_int(42, 42), 42);
+}
+
+namespace {
+
+/// uniform_int's rejection rule with its limit computed on every draw (two
+/// divisions per draw): the reference the one-division form must match.
+std::int64_t uniform_int_reference(stats::Rng& rng, std::int64_t lo,
+                                   std::int64_t hi) {
+  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+  if (span == 0) return static_cast<std::int64_t>(rng());
+  const std::uint64_t limit =
+      stats::Rng::max() - stats::Rng::max() % span;
+  std::uint64_t draw;
+  do {
+    draw = rng();
+  } while (draw >= limit);
+  return lo + static_cast<std::int64_t>(draw % span);
+}
+
+}  // namespace
+
+TEST(Rng, UniformIntMatchesRejectionReference) {
+  // Equal values, and the same raw draw next: both consumed the same
+  // number of draws, rejections included.
+  const auto same_stream = [](std::uint64_t seed, std::int64_t lo,
+                              std::int64_t hi, int draws) {
+    stats::Rng fast(seed);
+    stats::Rng slow(seed);
+    for (int i = 0; i < draws; ++i) {
+      ASSERT_EQ(fast.uniform_int(lo, hi), uniform_int_reference(slow, lo, hi))
+          << "[" << lo << ", " << hi << "] draw " << i;
+    }
+    EXPECT_EQ(fast(), slow()) << "[" << lo << ", " << hi << "]";
+  };
+  for (std::int64_t span = 1; span <= 1000; ++span)
+    same_stream(static_cast<std::uint64_t>(span), 0, span - 1, 50);
+  same_stream(3, -17, 17, 1000);
+  // Spans up to 2^63, where the top `span` values are a large share of
+  // all draws: at 2^63 (lo = 0, hi = INT64_MAX) half are rejected.
+  for (int bits = 11; bits <= 62; ++bits) {
+    const std::int64_t hi = (std::int64_t{1} << bits) + bits;
+    same_stream(static_cast<std::uint64_t>(bits), 0, hi, 200);
+  }
+  same_stream(8, 0, std::numeric_limits<std::int64_t>::max() / 3 * 2, 2000);
+  same_stream(9, 0, std::numeric_limits<std::int64_t>::max(), 2000);
+  stats::Rng rejecting(9);
+  int rejected = 0;
+  for (int i = 0; i < 2000; ++i) rejected += rejecting() >= (1ULL << 63);
+  EXPECT_GT(rejected, 900);  // the draws above really exercised rejection
 }
 
 TEST(Rng, BernoulliEdgeCases) {

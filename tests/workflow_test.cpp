@@ -108,6 +108,14 @@ TEST(Job, ValidateRejectsNonFiniteSubmitTime) {
   }
 }
 
+TEST(Job, ValidateRejectsJobWithoutTasks) {
+  // No task would ever finish it: engines waiting for its last task hung.
+  wf::Job job;
+  EXPECT_THROW(job.validate(), std::invalid_argument);
+  job.tasks.push_back({1.0, 1, {}});
+  EXPECT_NO_THROW(job.validate());
+}
+
 TEST(Job, ValidateRejectsZeroCores) {
   wf::Job job;
   job.tasks.push_back({1.0, 0, {}});
